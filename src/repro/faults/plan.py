@@ -12,6 +12,9 @@ The plan hooks the run in two places:
   :func:`repro.sim.engine.intercept_handlers` so every delivery flows
   through :meth:`FaultPlan.deliver`, and the plan registers handlers for
   its two private event kinds (``FAULT_TIMER`` / ``FAULT_REDELIVER``).
+  The simulator's handlers are the same as in an unfaulted run; it only
+  hands them :func:`repro.sim.engine.no_drain`, so no same-cycle run is
+  drained past the plan.
 * ``arm(now)`` -- called once from the simulator's prepare step; each
   scenario's injector gets an ``on_arm`` callback (kill scenarios
   schedule their timers here).
@@ -30,6 +33,11 @@ typed; the protocol is:
 ``completion_kind``
     The engine kind that retires tasks (drives the online monotone-
     retirement check and the kill-worker bookkeeping).
+``split_cluster(sim, kind, payload)``
+    The members of a payload that carries several notifications (the HIL
+    ready cluster), or ``None``.  The plan delivers each member on its own,
+    so scenarios act per notification; the adapter keeps the simulator's
+    delivered-event count exact for the extra deliveries.
 ``task_id_of(kind, payload)``
     Best-effort task id of a payload (``-1`` when unknown).
 ``worker_count(sim)``
@@ -229,6 +237,11 @@ class FaultPlan:
     ) -> None:
         """Route one event delivery through the armed scenarios."""
         adapter = self.adapter
+        members = adapter.split_cluster(self._sim, kind, payload)
+        if members is not None:
+            for member in members:
+                self.deliver(kind, member, now, handler, redelivery)
+            return
         is_completion = kind == adapter.completion_kind
         if is_completion:
             for armed in self._kills:

@@ -43,7 +43,7 @@ from repro.runtime.dependence_analysis import TaskGraph, build_task_graph
 from repro.runtime.overhead import NanosOverheadModel
 from repro.runtime.task import TaskProgram
 from repro.sim.backend import BACKEND_NANOS, register_backend
-from repro.sim.engine import EventQueue
+from repro.sim.engine import EventQueue, no_drain
 from repro.sim.results import SimulationResult, TaskTimeline
 from repro.sim.session import EngineStepper
 
@@ -70,7 +70,6 @@ class NanosRuntimeSimulator:
         program: TaskProgram,
         num_threads: int = 12,
         overhead: Optional[NanosOverheadModel] = None,
-        batch_completions: bool = True,
         faults: Sequence["FaultScenario"] = (),
     ) -> None:
         if num_threads < 1:
@@ -79,10 +78,6 @@ class NanosRuntimeSimulator:
         self.num_threads = num_threads
         self.overhead = overhead if overhead is not None else NanosOverheadModel()
         self.graph: TaskGraph = build_task_graph(program)
-        #: Drain runs of same-cycle task completions in one handler
-        #: activation; ``False`` selects the reference event-per-event loop
-        #: the optimized path is parity-checked against.
-        self.batch_completions = batch_completions
 
         self.queue = EventQueue()
         self._timelines: Dict[int, TaskTimeline] = {}
@@ -107,15 +102,10 @@ class NanosRuntimeSimulator:
         self._makespan = 0
 
         #: Armed fault-injection plan, or ``None`` (the common case).
-        #: Armed runs force the reference completion loop: the batched
-        #: drain bypasses per-event dispatch (and so the injection layer)
-        #: via ``pop_same_kind``, and the loops are parity-pinned
-        #: cycle-identical, so this changes no observable quantity.
         self._fault_plan: Optional["FaultPlan"] = None
         if faults:
             from repro.faults.plan import FaultPlan
 
-            self.batch_completions = False
             self._fault_plan = FaultPlan(tuple(faults), _NANOS_FAULT_ADAPTER, self)
 
     # ------------------------------------------------------------------
@@ -151,14 +141,16 @@ class NanosRuntimeSimulator:
         handlers = {
             _EV_SUBMITTED: self._on_submitted,
             _EV_MASTER_JOINS: self._on_master_joins,
-            _EV_TASK_DONE: (
-                self._on_task_done_batched
-                if self.batch_completions
-                else self._on_task_done
-            ),
+            _EV_TASK_DONE: self._on_task_done_batched,
         }
-        if self._fault_plan is not None:
-            handlers = self._fault_plan.wrap(handlers)
+        plan = self._fault_plan
+        if plan is None:
+            #: Same-cycle drain of the completion handler (see
+            #: ``HILSimulator.step``, which chooses its drain the same way).
+            self._pop_same_kind = self.queue.pop_same_kind
+        else:
+            self._pop_same_kind = no_drain
+            handlers = plan.wrap(handlers)
         self.queue.dispatch(handlers, horizon=stop_at_cycle)
 
     def enable_lifecycle_log(self) -> List[Tuple[int, int, int]]:
@@ -256,26 +248,16 @@ class NanosRuntimeSimulator:
         self._idle_workers.append(self.num_threads - 1)
         self._try_dispatch(now)
 
-    def _on_task_done(self, payload: Tuple[int, int], now: int) -> None:
-        """Reference handler: one task completion per engine event."""
-        worker, task_id = payload
-        self._finished += 1
-        self._idle_workers.append(worker)
-        for successor in self.graph.successors[task_id]:
-            self._remaining_preds[successor] -= 1
-            self._mark_ready_if_possible(successor, now)
-        self._try_dispatch(now)
-
     def _on_task_done_batched(self, payload: Tuple[int, int], now: int) -> None:
         # Drain the run of completions scheduled for this cycle in one
         # activation: release order, readiness order and the ready-pool
-        # FIFO are exactly those of the one-at-a-time loop, so the
+        # FIFO are exactly those of one completion per activation, so the
         # schedule stays cycle-identical; only the single dispatch pass
         # at the end is shared.
         idle_workers = self._idle_workers
         remaining_preds = self._remaining_preds
         successors = self.graph.successors
-        pop_same_kind = self.queue.pop_same_kind
+        pop_same_kind = self._pop_same_kind
         finished = self._finished
         while True:
             worker, task_id = payload
@@ -358,7 +340,7 @@ class _NanosFaultAdapter:
     family = "nanos"
     # The class vocabulary is shared across backends so one scenario is
     # portable: "ready" is the task-arrival packet (the HIL platform's
-    # task-visible message; here the master's submission event).
+    # ready notification; here the master's submission event).
     packet_classes = {
         "ready": _EV_SUBMITTED,
         "complete": _EV_TASK_DONE,
@@ -366,6 +348,11 @@ class _NanosFaultAdapter:
     }
     default_packet_class = "ready"
     completion_kind = _EV_TASK_DONE
+
+    def split_cluster(
+        self, sim: NanosRuntimeSimulator, kind: str, payload: object
+    ) -> None:
+        return None  # every Nanos++ event carries a single task
 
     def task_id_of(self, kind: str, payload: object) -> int:
         if kind == _EV_SUBMITTED:
@@ -434,16 +421,17 @@ class _NanosFaultAdapter:
     ) -> bool:
         """Retire the watched thread's final completion, minus the rejoin.
 
-        The reference handler appends the worker back to the idle pool
+        The completion handler appends the worker back to the idle pool
         *before* its dispatch pass, and the pool is popped LIFO -- so a
         post-delivery removal would be too late: the dying thread would
         pick up the next ready task first.  Instead the watched thread's
-        completion is handled here, mirroring
-        :meth:`NanosRuntimeSimulator._on_task_done` except that the
-        thread exits instead of rejoining (armed runs always use the
-        reference completion loop, so this is the only handler to
-        mirror).  The task itself still retires normally: Nanos never
-        loses work, the team just shrinks until the replacement joins.
+        completion is handled here, mirroring one iteration of
+        :meth:`NanosRuntimeSimulator._on_task_done_batched` except that
+        the thread exits instead of rejoining (armed runs install
+        :func:`~repro.sim.engine.no_drain`, so the handler retires exactly
+        one completion per delivery).  The task itself still retires
+        normally: Nanos never loses work, the team just shrinks until the
+        replacement joins.
         """
         from repro.faults.payloads import TIMER_REJOIN
 

@@ -30,9 +30,10 @@ timelines, delivered-event counts) may move.  Three test nets pin the
 contract:
 
 * ``tests/test_differential.py`` fuzzes random schedule / pop / peek /
-  ``pop_same_kind`` / ``iter_until`` interleavings through both queue
-  implementations and asserts event-for-event identity (seed-pinned in
-  CI with ``--hypothesis-seed=0``);
+  ``pop_same_kind`` / ``dispatch`` (with and without a horizon)
+  interleavings through both queue implementations and asserts
+  event-for-event identity (seed-pinned in CI with
+  ``--hypothesis-seed=0``);
 * ``tests/test_perf_parity.py`` digests full simulation results against
   golden values recorded from the pre-optimization engine;
 * ``tests/test_sim_engine_worker_results.py`` pins the O(1)
@@ -43,17 +44,7 @@ contract:
 from __future__ import annotations
 
 import heapq
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 
 class Event:
@@ -258,16 +249,15 @@ class EventQueue:
         """Drain the queue through a handler table (the fused hot loop).
 
         One loop delivers events and dispatches on their kind -- the inner
-        loop shared by the HIL and Nanos++ simulators.  Fusing delivery and
-        dispatch avoids a generator suspend/resume per event, which is a
-        measurable fraction of wall time at hundreds of thousands of
-        events per run; delivery order, clock movement and the processed
-        count are exactly those of iterating and dispatching by hand
-        (:func:`dispatch_events` over ``iter(queue)``), which the
-        differential suite checks against the heap reference.  With
-        ``horizon`` the loop stops -- events still queued -- once the next
-        event is stamped past it, like :meth:`iter_until`.  Handlers run
-        as ``handler(payload, time)``; an unknown kind raises.
+        loop shared by the HIL and Nanos++ simulators, and the only way
+        they consume the queue besides the ``pop_same_kind`` drains of
+        their handlers.  Delivery order, clock movement and the processed
+        count are exactly those of :meth:`HeapEventQueue.dispatch`, which
+        the differential suite checks.  With ``horizon`` the loop stops --
+        later events stay queued, and the clock never passes the horizon
+        -- once the next event is stamped past it, so a simulator can
+        pause at a cycle and resume later.  Handlers run as
+        ``handler(payload, time)``; an unknown kind raises.
         """
         get = handlers.get
         if horizon is not None:
@@ -306,44 +296,6 @@ class EventQueue:
             if handler is None:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown event kind {event.kind!r}")
             handler(event.payload, event.time)
-
-    def __iter__(self) -> Iterator[Event]:
-        """Iterate over events until the queue drains."""
-        times = self._times
-        buckets = self._buckets
-        heappop = heapq.heappop
-        while True:
-            current = self._current
-            pos = self._current_pos
-            if pos < len(current):
-                event = current[pos]
-                self._current_pos = pos + 1
-            else:
-                if not times:
-                    return
-                time = heappop(times)
-                current = buckets.pop(time)
-                self._current = current
-                self._current_pos = 1
-                event = current[0]
-            self._pending -= 1
-            self._now = event.time
-            self._processed += 1
-            yield event
-
-    def iter_until(self, horizon: int) -> Iterator[Event]:
-        """Iterate events stamped no later than ``horizon`` cycles.
-
-        Later events stay queued, so a simulator can stop at a cycle
-        horizon (early abort) and still inspect -- or resume -- the
-        remaining schedule.  The clock only advances through delivered
-        events and therefore never passes the horizon.
-        """
-        while True:
-            event = self._head()
-            if event is None or event.time > horizon:
-                return
-            yield self._consume_head()
 
     # ------------------------------------------------------------------
     # snapshot / restore (see repro.sim.snapshot)
@@ -482,7 +434,12 @@ class HeapEventQueue:
     ) -> None:
         """Reference dispatch loop (plain iteration + table lookup)."""
         events = self.iter_until(horizon) if horizon is not None else iter(self)
-        dispatch_events(events, handlers)
+        get = handlers.get
+        for event in events:
+            handler = get(event.kind)
+            if handler is None:  # pragma: no cover - defensive
+                raise RuntimeError(f"unknown event kind {event.kind!r}")
+            handler(event.payload, event.time)
 
     def __iter__(self) -> Iterator[Event]:
         heap = self._heap
@@ -519,11 +476,11 @@ def intercept_handlers(
     this is what keeps unfaulted runs cycle-identical (the injection
     layer is zero-cost when off).
 
-    Note for interceptor authors: the *batched* simulator loops drain
-    same-kind events internally via :meth:`EventQueue.pop_same_kind`,
-    which bypasses dispatch-level interception -- wrap only tables whose
-    handlers deliver one event per call (armed fault plans force the
-    reference event-per-event loops for exactly this reason).
+    Note for interceptor authors: the simulator handlers drain same-kind
+    runs internally through a ``pop_same_kind`` function, which bypasses
+    dispatch-level interception.  A simulator that wraps its table hands
+    its handlers :func:`no_drain` instead, so every event reaches the
+    interceptor on its own.
     """
 
     def make(
@@ -537,22 +494,10 @@ def intercept_handlers(
     return {kind: make(kind, handler) for kind, handler in handlers.items()}
 
 
-def dispatch_events(
-    events: Iterable[Event],
-    handlers: Mapping[str, Callable[[Any, int], None]],
-) -> None:
-    """Drive an event stream through a handler table.
+def no_drain(kind: str, time: int) -> None:
+    """A :meth:`EventQueue.pop_same_kind` stand-in that never drains.
 
-    The shared inner loop of the HIL and Nanos++ simulators: one dict hit
-    per event dispatches on its kind (no string-comparison ladder), and an
-    unknown kind is a simulation bug that raises immediately.  Handlers
-    are called as ``handler(payload, time)``; ``events`` is typically an
-    :class:`EventQueue` (drain everything) or the iterator returned by
-    :meth:`EventQueue.iter_until` (stop at a cycle horizon).
+    Simulators whose handler table is wrapped by :func:`intercept_handlers`
+    give this to their handlers, which then retire one event per call.
     """
-    get = handlers.get
-    for event in events:
-        handler = get(event.kind)
-        if handler is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown event kind {event.kind!r}")
-        handler(event.payload, event.time)
+    return None

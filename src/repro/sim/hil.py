@@ -32,20 +32,22 @@ Cycle-identity contract
 This module sits on the measured hot path of every full-system run, and
 every optimization to it must be *cycle-identical*: the schedule --
 per-task created/submitted/ready/started/finished stamps, the makespan and
-the delivered-event count -- must not move by a single cycle.  The
-optimized paths therefore keep reference twins that can be selected per
-run: ``batch_completions=False`` re-enables event-per-event worker *and
-master* completion delivery, and ``batch_ready_events=False`` re-enables one
-engine event per ready-task visibility notification (instead of one
-``READY_BATCH`` event per cycle-cluster).  Three test nets pin the
-contract:
+the delivered-event count -- must not move by a single cycle.  There is
+one set of event handlers.  Same-cycle ready notifications travel as one
+``READY_BATCH`` event per cycle-cluster, and the handlers drain adjacent
+same-cycle events of their kind in one activation through the drain
+:meth:`HILSimulator.step` installs (``EventQueue.pop_same_kind``, or
+:func:`~repro.sim.engine.no_drain` when a fault plan intercepts every
+delivery).  Three test nets pin the contract:
 
 * the golden-digest matrix in ``tests/test_perf_parity.py`` (full results
   recorded from the pre-optimization engine, all five backends);
-* the batched-vs-reference parity classes in ``tests/test_perf_parity.py``
-  and the master-job edge cases in ``tests/test_hil_master.py``;
+* the parity classes in ``tests/test_perf_parity.py`` and the master-job
+  edge cases in ``tests/test_hil_master.py``, which compare against the
+  test-only one-event-per-delivery oracle in ``tests/helpers.py``;
 * the cross-backend differential fuzz suite in
-  ``tests/test_differential.py`` (seed-pinned in CI).
+  ``tests/test_differential.py`` (seed-pinned in CI), whose faulted rules
+  hold faulted runs to the same oracle.
 
 See ``docs/hil.md`` for the design of the master-job state machine and the
 cycle-cluster batching invariant.
@@ -67,7 +69,7 @@ from repro.sim.backend import (
     BACKEND_HIL_HW,
     register_backend,
 )
-from repro.sim.engine import EventQueue
+from repro.sim.engine import EventQueue, no_drain
 from repro.sim.results import SimulationResult, TaskTimeline
 from repro.sim.session import EngineStepper
 from repro.sim.worker import WorkerPool
@@ -122,7 +124,6 @@ _JOB_DISPATCH = "dispatch"
 _JOB_FINISH = "finish"
 
 # event kinds
-_EV_TASK_VISIBLE = "task-visible"
 _EV_READY_BATCH = "ready-batch"
 _EV_WORKER_DONE = "worker-done"
 _EV_MASTER_DONE = "master-done"
@@ -148,8 +149,6 @@ class HILSimulator:
         mode: HILMode = HILMode.FULL_SYSTEM,
         num_workers: int = 12,
         policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-        batch_completions: bool = True,
-        batch_ready_events: bool = True,
         faults: Sequence["FaultScenario"] = (),
     ) -> None:
         if num_workers < 1:
@@ -159,21 +158,6 @@ class HILSimulator:
         self.mode = mode
         self.num_workers = num_workers
         self.policy = policy
-        #: Drain runs of same-cycle worker completions -- and, for the
-        #: serial ARM master, same-cycle zero-cost job completions -- in
-        #: one handler activation.  Cycle-identical to one-at-a-time
-        #: delivery (the parity suite pins this); ``False`` selects the
-        #: reference event-per-event loops the optimized paths are checked
-        #: against.
-        self.batch_completions = batch_completions
-        #: Coalesce the ready-task visibility notifications one accelerator
-        #: operation produces for the same target cycle into a single
-        #: ``READY_BATCH`` engine event (one per cycle-cluster), and drain
-        #: adjacent same-cycle batches via ``pop_same_kind``.  Cycle-
-        #: identical to one event per notification; ``False`` selects the
-        #: reference per-notification emission the batched path is parity-
-        #: checked against.
-        self.batch_ready_events = batch_ready_events
         # Mode flags cached as plain booleans: the enum properties cost a
         # dict lookup and comparison on every event otherwise.
         self._uses_master = mode.uses_master
@@ -212,8 +196,9 @@ class HILSimulator:
         self._submission_blocked = False
         #: Extra delivered-notification count carried by consumed
         #: ``READY_BATCH`` events (``len(batch) - 1`` each), so the
-        #: ``events_processed`` counter keeps per-delivered-event accounting
-        #: exactly equal to the reference per-notification loop.
+        #: ``events_processed`` counter counts one delivery per notification
+        #: (faulted runs credit split clusters here too, see
+        #: ``_HILFaultAdapter.split_cluster``).
         self._ready_batch_extra = 0
         # The master-job costs are pure functions of the job kind (and, for
         # creates in full-system mode, the dependence count, bounded by the
@@ -241,20 +226,12 @@ class HILSimulator:
         }
         #: Armed fault scenarios, if any (see ``repro.faults``).  The
         #: default run never constructs a plan and dispatches through the
-        #: exact same handler tables as before -- the injection layer is
-        #: zero-cost when off and golden digests stay bit-identical.
+        #: exact same handler table -- the injection layer is zero-cost
+        #: when off and golden digests stay bit-identical.
         self._fault_plan: Optional["FaultPlan"] = None
         if faults:
             from repro.faults.plan import FaultPlan
 
-            # Armed runs take the reference event-per-event loops so that
-            # every delivery flows through the injection layer (the batched
-            # twins drain same-kind runs internally via ``pop_same_kind``,
-            # bypassing dispatch-level interception).  The twins are
-            # parity-pinned cycle-identical, so this changes nothing but
-            # the hook coverage.
-            self.batch_completions = False
-            self.batch_ready_events = False
             self._fault_plan = FaultPlan(tuple(faults), _HIL_FAULT_ADAPTER, self)
 
     # ------------------------------------------------------------------
@@ -305,24 +282,23 @@ class HILSimulator:
 
         # Precomputed handler table: one dict hit per event instead of a
         # string-comparison ladder (this loop delivers hundreds of
-        # thousands of events on the fine-grained workloads).  Both ready
-        # kinds stay registered so a run can mix emission modes safely.
+        # thousands of events on the fine-grained workloads).
         handlers = {
-            _EV_TASK_VISIBLE: self._on_task_visible,
             _EV_READY_BATCH: self._on_ready_batch,
-            _EV_WORKER_DONE: (
-                self._on_worker_done_batched
-                if self.batch_completions
-                else self._on_worker_done
-            ),
-            _EV_MASTER_DONE: (
-                self._on_master_done_batched
-                if self.batch_completions
-                else self._on_master_done
-            ),
+            _EV_WORKER_DONE: self._on_worker_done_batched,
+            _EV_MASTER_DONE: self._on_master_done_batched,
         }
-        if self._fault_plan is not None:
-            handlers = self._fault_plan.wrap(handlers)
+        plan = self._fault_plan
+        if plan is None:
+            #: Same-cycle drain of the handlers.  Chosen here rather than
+            #: in ``__init__`` so it always binds the current ``queue``.
+            self._pop_same_kind = self.queue.pop_same_kind
+        else:
+            # The plan intercepts dispatch; draining a same-cycle run
+            # inside a handler would slip its members past the plan, so
+            # every event is delivered on its own.
+            self._pop_same_kind = no_drain
+            handlers = plan.wrap(handlers)
         self.queue.dispatch(handlers, horizon=stop_at_cycle)
 
     def enable_lifecycle_log(self) -> List[Tuple[int, int, int]]:
@@ -350,7 +326,7 @@ class HILSimulator:
 
         May free space in the new-task FIFO; the enclosing event handler
         re-arms the master afterwards (every call path in a master-mediated
-        mode ends in :meth:`_on_master_done`), so no kick happens here.
+        mode ends in :meth:`_kick_master`), so no kick happens here.
         """
         pending_new = self._pending_new
         if not pending_new:
@@ -397,19 +373,14 @@ class HILSimulator:
     def _schedule_ready(self, start: int, ready_list) -> None:
         """Schedule the visibility notifications of one accelerator op.
 
-        In the batched mode the notifications targeting the same cycle are
-        coalesced into one ``READY_BATCH`` engine event carrying the
-        task-id cluster; since nothing else can be scheduled between the
-        members of one emit loop, the collapsed event occupies exactly the
-        calendar-bucket position the first member would have had, so FIFO
-        order against every interleaved event is preserved.  The reference
-        mode emits one ``task-visible`` event per notification.
+        The notifications targeting the same cycle are coalesced into one
+        ``READY_BATCH`` engine event carrying the task-id cluster; since
+        nothing else can be scheduled between the members of one emit loop,
+        the collapsed event occupies exactly the calendar-bucket position
+        the first member would have had, so FIFO order against every
+        interleaved event is the one per-notification events would get.
         """
         schedule = self.queue.schedule
-        if not self.batch_ready_events:
-            for ready in ready_list:
-                schedule(start + ready.latency, _EV_TASK_VISIBLE, ready.task_id)
-            return
         if len(ready_list) == 1:
             # The overwhelmingly common case: a singleton cluster travels
             # as a bare task id, no list allocation on the hot path.
@@ -436,15 +407,6 @@ class HILSimulator:
     # ------------------------------------------------------------------
     # ready tasks and workers
     # ------------------------------------------------------------------
-    def _on_task_visible(self, task_id: int, now: int) -> None:
-        """Reference handler: one visibility notification per engine event."""
-        self._timelines[task_id].ready = now
-        if self._lifecycle_log is not None:
-            self._lifecycle_log.append((now, _LOG_READY, task_id))
-        self.ready.push(task_id)
-        self._try_dispatch(now)
-        self._kick_master(now)
-
     def _on_ready_batch(self, payload, now: int) -> None:
         """Deliver a cycle-cluster of ready-task visibility notifications.
 
@@ -452,8 +414,8 @@ class HILSimulator:
         visible at this cycle; adjacent same-cycle clusters (from other
         operations) are drained through ``pop_same_kind`` in the same
         activation.  Each task still gets its own push + dispatch pass --
-        that keeps the schedule cycle-identical to the per-notification
-        reference for *every* scheduling policy (a priority scheduler could
+        that keeps the schedule cycle-identical to one delivery per
+        notification for *every* scheduling policy (a priority scheduler could
         otherwise see two tasks at once and pick the later, better one) and
         keeps the ready-queue high-water counter exact.  Only the master
         re-arm is shared, which is safe because a dispatch pass in a
@@ -464,7 +426,7 @@ class HILSimulator:
         timelines = self._timelines
         ready = self.ready
         try_dispatch = self._try_dispatch
-        pop_same_kind = self.queue.pop_same_kind
+        pop_same_kind = self._pop_same_kind
         log = self._lifecycle_log
         extra = self._ready_batch_extra
         while True:
@@ -516,21 +478,6 @@ class HILSimulator:
         self._timelines[task_id].started = now
         self.queue.schedule(end, _EV_WORKER_DONE, (worker_id, task_id))
 
-    def _on_worker_done(self, payload: Tuple[int, int], now: int) -> None:
-        """Reference handler: one worker completion per engine event."""
-        worker_id, task_id = payload
-        self._timelines[task_id].finished = now
-        if self._lifecycle_log is not None:
-            self._lifecycle_log.append((now, _LOG_RETIRED, task_id))
-        self.workers.release(worker_id)
-        self._finished_tasks += 1
-        if self._hw_only:
-            self._process_finish(task_id, now)
-        else:
-            self._master_finish_jobs.append(task_id)
-        self._try_dispatch(now)
-        self._kick_master(now)
-
     def _on_worker_done_batched(self, payload: Tuple[int, int], now: int) -> None:
         """Drain the run of worker completions scheduled for this cycle.
 
@@ -539,13 +486,13 @@ class HILSimulator:
         run can retire in one activation with a single dispatch pass at the
         end instead of one per completion.  Everything that determines
         timing (finish-job order, ready-pool pop order, master kicks) is
-        preserved, so the schedule is cycle-identical to the one-at-a-time
-        reference loop; only which physical worker id picks up a given
-        ready task may differ, and workers are homogeneous.
+        preserved, so the schedule is cycle-identical to one-at-a-time
+        delivery; only which physical worker id picks up a given ready task
+        may differ, and workers are homogeneous.
         """
         timelines = self._timelines
         release = self.workers.release
-        pop_same_kind = self.queue.pop_same_kind
+        pop_same_kind = self._pop_same_kind
         hw_only = self._hw_only
         finish_jobs = self._master_finish_jobs
         log = self._lifecycle_log
@@ -588,7 +535,7 @@ class HILSimulator:
 
         Returns the absolute cycle the armed job completes at, or ``None``
         when the master stays idle (busy, unused, or out of work) -- the
-        lazy completion drain in :meth:`_on_master_done` uses it to decide
+        lazy completion drain in :meth:`_on_master_done_batched` uses it to decide
         whether a same-cycle completion cluster can form at all.
         """
         if self._master_busy or not self._uses_master:
@@ -634,16 +581,6 @@ class HILSimulator:
             cost += self.config.nanos_submission_cycles(num_deps)
         return cost
 
-    def _on_master_done(self, job: Tuple[str, object], now: int) -> None:
-        """Reference master-completion delivery: one job per activation."""
-        self._master_busy = False
-        kind, payload = job
-        handler = self._master_done_handlers.get(kind)
-        if handler is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"unknown master job {kind!r}")
-        handler(payload, now)
-        self._kick_master(now)
-
     def _on_master_done_batched(self, job: Tuple[str, object], now: int) -> None:
         """Retire a master job, then lazily drain same-cycle successors.
 
@@ -654,12 +591,11 @@ class HILSimulator:
         retired in this same activation, skipping a full queue round-trip
         per job.  ``pop_same_kind`` refuses anything that is not the exact
         FIFO head and counts the delivery like a normal dispatch, so the
-        schedule and ``events_processed`` stay bit-exact with the
-        one-activation-per-job reference loop (:meth:`_on_master_done`),
-        which ``batch_completions=False`` re-selects.
+        schedule and ``events_processed`` stay bit-exact with one
+        activation per job.
         """
         handlers = self._master_done_handlers
-        pop_same_kind = self.queue.pop_same_kind
+        pop_same_kind = self._pop_same_kind
         while True:
             self._master_busy = False
             kind, payload = job
@@ -705,8 +641,8 @@ class HILSimulator:
         counters["ready_queue_high_water"] = self.ready.max_occupancy
         # Per-delivered-event accounting: a consumed READY_BATCH engine
         # event counts once per visibility notification it carried, so the
-        # counter equals the reference per-notification loop's exactly
-        # (tests/test_perf_parity.py asserts field-for-field equality).
+        # counter equals that of one event per notification exactly
+        # (tests/test_perf_parity.py holds it to the test oracle).
         counters["events_processed"] = self.queue.processed + self._ready_batch_extra
         if aborted:
             counters["aborted_at_cycle"] = aborted_at
@@ -748,7 +684,7 @@ class _HILFaultAdapter:
     family = "hil"
     #: DCT ready notifications / worker completions / ARM master events.
     packet_classes = {
-        "ready": _EV_TASK_VISIBLE,
+        "ready": _EV_READY_BATCH,
         "complete": _EV_WORKER_DONE,
         "master": _EV_MASTER_DONE,
     }
@@ -756,8 +692,24 @@ class _HILFaultAdapter:
     completion_kind = _EV_WORKER_DONE
 
     @staticmethod
+    def split_cluster(
+        sim: "HILSimulator", kind: str, payload: object
+    ) -> Optional[List[int]]:
+        """The task ids of a multi-task ready cluster, else ``None``.
+
+        The hardware sends one ready message per task, so scenarios act
+        on each member of a cluster separately.  Each member beyond the
+        first is credited to ``_ready_batch_extra``, so
+        ``events_processed`` still counts one delivery per notification.
+        """
+        if kind != _EV_READY_BATCH or not isinstance(payload, list):
+            return None
+        sim._ready_batch_extra += len(payload) - 1
+        return payload
+
+    @staticmethod
     def task_id_of(kind: str, payload: object) -> int:
-        if kind == _EV_TASK_VISIBLE:
+        if kind == _EV_READY_BATCH:
             return payload if isinstance(payload, int) else -1
         if kind == _EV_WORKER_DONE:
             return payload[1]  # type: ignore[index]

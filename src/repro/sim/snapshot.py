@@ -116,7 +116,9 @@ __all__ = [
 #: Format tag of the on-disk document (`format` field).
 SNAPSHOT_FORMAT = "picos-snapshot"
 #: Schema version; bump on any change to the state documents below.
-SNAPSHOT_VERSION = 1
+#: Version 2: faulted HIL runs queue ready notifications as ``ready-batch``
+#: events (version 1 queued them as ``task-visible``).
+SNAPSHOT_VERSION = 2
 
 #: Snapshot kinds (see the module docstring).
 KIND_INITIAL = "initial"
@@ -829,9 +831,7 @@ def _restore_workers(pool: Any, document: Dict[str, Any]) -> None:
 def _fault_plan_document(sim: Any, document: Dict[str, Any]) -> Dict[str, Any]:
     """Attach the armed-fault state under the optional ``faults`` key.
 
-    Unfaulted runs get no key at all, so their state documents (and
-    therefore snapshot digests) are byte-identical to the pre-fault
-    schema -- which is why ``SNAPSHOT_VERSION`` did not bump.
+    Unfaulted runs get no key at all.
     """
     plan = sim._fault_plan
     if plan is not None:

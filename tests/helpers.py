@@ -1,4 +1,4 @@
-"""Importable program-building helpers shared by the test suite.
+"""Importable program-building helpers and test oracles shared by the suite.
 
 These used to live in ``tests/conftest.py``, but ``conftest`` is not a
 reliably importable module name: when the benchmark harness is collected in
@@ -9,11 +9,19 @@ module (imported as ``tests.helpers``) removes the collision.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.picos import PicosAccelerator
+from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.task import Dependence, Direction, Task, TaskProgram
+from repro.sim.hil import (
+    _EV_READY_BATCH,
+    _LOG_READY,
+    _LOG_RETIRED,
+    HILMode,
+    HILSimulator,
+)
 
 
 def make_task(
@@ -156,3 +164,85 @@ def drain_functional(accelerator: PicosAccelerator, program: TaskProgram) -> Lis
                 f"in flight {accelerator.in_flight}"
             )
     return order
+
+
+# ----------------------------------------------------------------------
+# the one-event-per-delivery oracle
+# ----------------------------------------------------------------------
+class ReferenceHILSimulator(HILSimulator):
+    """Test oracle: the HIL platform with one engine event per delivery.
+
+    Production runs coalesce the same-cycle ready notifications of one
+    accelerator operation into a ``ready-batch`` cluster, and their
+    handlers drain same-cycle runs of their kind in one activation.  This
+    oracle schedules one ``ready-batch`` event per notification and
+    replaces the three handlers -- by name, since ``step()`` builds the
+    handler table from these attributes -- with bodies that retire one
+    event per call and never drain.  Batched runs, faulted or not, must
+    equal it field for field.
+    """
+
+    def _schedule_ready(self, start, ready_list) -> None:
+        schedule = self.queue.schedule
+        for ready in ready_list:
+            schedule(start + ready.latency, _EV_READY_BATCH, ready.task_id)
+
+    def _on_ready_batch(self, task_id: int, now: int) -> None:
+        self._timelines[task_id].ready = now
+        if self._lifecycle_log is not None:
+            self._lifecycle_log.append((now, _LOG_READY, task_id))
+        self.ready.push(task_id)
+        self._try_dispatch(now)
+        self._kick_master(now)
+
+    def _on_worker_done_batched(self, payload: Tuple[int, int], now: int) -> None:
+        worker_id, task_id = payload
+        self._timelines[task_id].finished = now
+        if self._lifecycle_log is not None:
+            self._lifecycle_log.append((now, _LOG_RETIRED, task_id))
+        self.workers.release(worker_id)
+        self._finished_tasks += 1
+        if self._hw_only:
+            self._process_finish(task_id, now)
+        else:
+            self._master_finish_jobs.append(task_id)
+        self._try_dispatch(now)
+        self._kick_master(now)
+
+    def _on_master_done_batched(self, job: Tuple[str, object], now: int) -> None:
+        self._master_busy = False
+        kind, payload = job
+        self._master_done_handlers[kind](payload, now)
+        self._kick_master(now)
+
+
+class ReferenceNanosSimulator(NanosRuntimeSimulator):
+    """Test oracle: the Nanos++ model retiring one completion per event."""
+
+    def _on_task_done_batched(self, payload: Tuple[int, int], now: int) -> None:
+        worker, task_id = payload
+        self._finished += 1
+        self._idle_workers.append(worker)
+        for successor in self.graph.successors[task_id]:
+            self._remaining_preds[successor] -= 1
+            self._mark_ready_if_possible(successor, now)
+        self._try_dispatch(now)
+
+
+def reference_simulator(
+    backend: str,
+    program: TaskProgram,
+    num_workers: int,
+    config: Optional[PicosConfig] = None,
+    faults: Sequence = (),
+):
+    """The oracle simulator for one ``hil-*`` or ``nanos`` backend run."""
+    if backend == "nanos":
+        return ReferenceNanosSimulator(program, num_workers, faults=faults)
+    return ReferenceHILSimulator(
+        program,
+        config=config,
+        mode=HILMode.from_backend_name(backend),
+        num_workers=num_workers,
+        faults=faults,
+    )

@@ -307,7 +307,7 @@ class TestDMWayRecycling:
 
         from repro.core.config import PicosConfig
         from repro.sim.hil import HILMode, HILSimulator
-        from tests.helpers import make_program
+        from tests.helpers import ReferenceHILSimulator, make_program
 
         # 12 independent producers of set-0-aliasing addresses with equal
         # durations: the DM set fills, submissions stall, and several
@@ -317,13 +317,9 @@ class TestDMWayRecycling:
         program = make_program(spec, durations=[50] * 12, name="dm-recycle")
         config = PicosConfig.paper_prototype(DMDesign.WAY8)
         results = {}
-        for batched in (True, False):
-            results[batched] = HILSimulator(
-                program,
-                config=config,
-                mode=HILMode.HW_ONLY,
-                num_workers=4,
-                batch_completions=batched,
+        for batched, simulator in ((True, HILSimulator), (False, ReferenceHILSimulator)):
+            results[batched] = simulator(
+                program, config=config, mode=HILMode.HW_ONLY, num_workers=4
             ).run()
         assert results[True].counters["dm_conflicts"] >= 1
         assert dataclasses.asdict(results[True]) == dataclasses.asdict(results[False])

@@ -19,8 +19,9 @@ backends.  Four families of invariants pin the whole stack:
   state leaking into them would poison shared caches);
 * **engine equivalence** -- the calendar-queue :class:`EventQueue` delivers
   random schedules event-for-event identically to the binary-heap
-  reference :class:`HeapEventQueue` (including ``pop_same_kind`` and
-  ``iter_until`` interleavings);
+  reference :class:`HeapEventQueue`, through ``dispatch`` with and without
+  a horizon, with handlers that drain via ``pop_same_kind`` and schedule
+  same-cycle follow-ups;
 * **datapath equivalence** -- the flat integer-handle DM/VM/TM/TRS/DCT
   core produces results identical field-for-field to the object-based
   reference implementation (``repro.core.reference``), including under
@@ -34,9 +35,12 @@ backends.  Four families of invariants pin the whole stack:
   invariant holds under the flat and the reference datapath alike;
 * **faulted determinism** -- a fuzz-drawn fault plan (worker kill + seeded
   event-level chaos) replays field-for-field identically from the same
-  seeds, on both HIL datapaths, and a checkpoint taken mid-fault restores
-  into exactly the straight faulted run (the CI ``fault-matrix`` job
-  replays this family under ``REPRO_REFERENCE_DATAPATH=1`` as well).
+  seeds, on both HIL datapaths; a checkpoint taken mid-fault restores
+  into exactly the straight faulted run; and the production (batched)
+  faulted run equals the one-event-per-delivery oracle of
+  ``tests/helpers.py`` field for field, streamed fault events included
+  (the CI ``fault-matrix`` job replays this family under
+  ``REPRO_REFERENCE_DATAPATH=1`` as well).
 
 Run deterministically with ``pytest tests/test_differential.py
 --hypothesis-seed=0`` (the CI job does exactly that).
@@ -59,18 +63,29 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import repro
 from repro.core.config import DMDesign, PicosConfig
-from repro.faults import FaultKind, FaultScenario, FaultTarget, FaultTrigger
+from repro.faults import (
+    FaultKind,
+    FaultScenario,
+    FaultTarget,
+    FaultTrigger,
+    RecoveryPolicy,
+)
 from repro.runtime.dependence_analysis import build_task_graph
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
 from repro.sim.engine import EventQueue, HeapEventQueue
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest
-from repro.sim.session import lifecycle_events, open_session
+from repro.sim.session import (
+    _EVENT_CLASSES,
+    EngineStepper,
+    lifecycle_events,
+    open_session,
+)
 from repro.sim.snapshot import KIND_MID_RUN, capture, restore
 from repro.traces.synthetic import random_program
 
-from tests.helpers import make_program
+from tests.helpers import make_program, reference_simulator
 
 #: Keep the graphs small: five backends x many examples must stay in CI
 #: budget, and the invariants are shape-driven, not size-driven.
@@ -248,8 +263,6 @@ FAULTED_BACKENDS = ("hil-full", "hil-hw", "nanos")
 
 
 def _fault_plan(fault):
-    from repro.faults import RecoveryPolicy
-
     return (
         FaultScenario(
             FaultKind.KILL_WORKER,
@@ -271,8 +284,144 @@ def _fault_plan(fault):
     )
 
 
+#: Packet classes shared by every faulted backend (see ``docs/faults.md``).
+PACKET_CLASSES = ("ready", "complete", "master")
+
+#: Backends the production-vs-oracle rule covers: every faulted backend.
+ORACLE_BACKENDS = ("hil-hw", "hil-comm", "hil-full", "nanos")
+
+
+def _every_single_fault_plan(seed, delay, jitter, makespan):
+    """One plan per fault kind and packet class, all landing in the run."""
+    third = max(makespan // 3, 1)
+    recovery = RecoveryPolicy(delay_cycles=delay, jitter_cycles=jitter)
+    plans = [
+        (
+            FaultScenario(
+                FaultKind.KILL_WORKER,
+                FaultTrigger(at_cycle=third),
+                FaultTarget(worker_id=1),
+                recovery,
+            ),
+        )
+    ]
+    for packet_class in PACKET_CLASSES:
+        target = FaultTarget(packet_class=packet_class)
+        for kind in (
+            FaultKind.DELAY_EVENT,
+            FaultKind.DROP_EVENT,
+            FaultKind.DUPLICATE_EVENT,
+        ):
+            trigger = FaultTrigger(probability=0.3, seed=seed, max_fires=5)
+            plans.append((FaultScenario(kind, trigger, target, recovery),))
+        freeze = FaultTrigger(window=(third // 2, third + 1), max_fires=None)
+        plans.append((FaultScenario(FaultKind.FREEZE_BANK, freeze, target),))
+    assert {plan[0].kind for plan in plans} == set(FaultKind)
+    return plans
+
+
+def _burst_program(readers, rounds, duration):
+    """Rounds of one writer and ``readers`` readers of one address.
+
+    The readers of a round share one duration, and the writer runs long
+    enough for even the Nanos++ master to create them all meanwhile, so
+    they become ready, start and finish together: completions arrive in
+    same-cycle runs on every backend.
+    """
+    spec = []
+    durations = []
+    for _ in range(rounds):
+        spec += [[(0x1000, "out")]] + [[(0x1000, "in")]] * readers
+        durations += [100_000] + [duration] * readers
+    return make_program(spec, durations=durations, name="burst")
+
+
+def _stepped(stepper, cut):
+    """Run a stepper to the end in ``cut``-cycle slices.
+
+    Returns the result and the per-slice streams of session events, built
+    exactly as :meth:`SimulationSession.advance` builds them.
+    """
+    slices = []
+    while True:
+        finished, _horizon, entries = stepper.advance(cut)
+        slices.append(
+            [_EVENT_CLASSES[order](cycle, task_id) for cycle, order, task_id in entries]
+        )
+        if finished:
+            return stepper.result(), slices
+
+
 class TestFaultedDeterminism:
     """Seed-pinned replay of faulted runs, fuzzed over graphs and plans."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        params=graph_params,
+        burst=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(min_value=2, max_value=8),
+                st.integers(min_value=1, max_value=4),
+                st.integers(min_value=1, max_value=300),
+            ),
+        ),
+        seed=st.integers(min_value=0, max_value=2**16),
+        delay=st.integers(min_value=0, max_value=300),
+        jitter=st.integers(min_value=0, max_value=60),
+        clustered=st.booleans(),
+        cut=st.integers(min_value=1, max_value=2_000),
+    )
+    def test_production_faulted_run_equals_the_oracle(
+        self, params, burst, seed, delay, jitter, clustered, cut
+    ):
+        """Faulted runs take the production (batched) handlers, with the
+        same-cycle drain off and ready clusters split per task; they must
+        equal the one-event-per-delivery oracle field for field, streamed
+        ``FaultInjected``/``FaultRecovered`` events included, for every
+        fault kind and packet class.  ``burst`` programs put completions
+        in same-cycle runs, and ``clustered`` wakes consumer chains at one
+        cycle, so multi-task ready clusters reach the plan."""
+        program = random_program(**params) if burst is None else _burst_program(*burst)
+        config = PicosConfig(chain_hop_cycles=0) if clustered else PicosConfig()
+        num_workers = 3  # >= kill target + 2, so nanos keeps a killable pool
+        for backend in ORACLE_BACKENDS:
+            hil_config = None if backend == "nanos" else config
+            makespan = simulate_request(
+                SimulationRequest.for_program(
+                    program, backend=backend, num_workers=num_workers, config=hil_config
+                )
+            ).makespan
+            for faults in _every_single_fault_plan(seed, delay, jitter, makespan):
+                request = SimulationRequest.for_program(
+                    program,
+                    backend=backend,
+                    num_workers=num_workers,
+                    config=hil_config,
+                    faults=faults,
+                )
+                production = []
+                with open_session(request) as session:
+                    while True:
+                        chunk = session.advance(cut)
+                        production.append(list(chunk.events))
+                        if chunk.finished:
+                            break
+                    result = session.result()
+                oracle, oracle_slices = _stepped(
+                    EngineStepper(
+                        reference_simulator(
+                            backend, program, num_workers, hil_config, faults
+                        )
+                    ),
+                    cut,
+                )
+                label = f"{backend} {faults[0].kind.value}/{faults[0].target}"
+                assert dataclasses.asdict(result) == dataclasses.asdict(oracle), label
+                assert production == oracle_slices, label
+                assert dataclasses.asdict(simulate_request(request)) == (
+                    dataclasses.asdict(result)
+                ), label
 
     @settings(max_examples=8, deadline=None)
     @given(params=graph_params, fault=fault_params)
@@ -419,20 +568,43 @@ queue_ops = st.lists(
             ),
             max_size=6,
         ),
-        st.sampled_from(["pop", "pop2", "same-a", "same-now", "peek", "iter3"]),
+        st.sampled_from(["pop", "pop2", "same-a", "same-now", "peek", "dispatch10"]),
     ),
     max_size=40,
 )
 
 
 def _drive(queue, ops):
-    """Apply a fuzzed op sequence; returns the observable delivery trace."""
+    """Apply a fuzzed op sequence; returns the observable delivery trace.
+
+    ``dispatch`` runs a handler table shaped like the simulators' own: the
+    ``a`` handler drains the same-cycle run of ``a`` events through
+    ``pop_same_kind``, and a ``b`` with an even payload schedules a ``c``
+    at its own cycle (behind everything already queued there).
+    """
     trace = []
-    payload = 0
+    payloads = iter(range(10**6))
+
+    def on_a(payload, time):
+        trace.append(("dispatch", time, "a", payload))
+        while True:
+            event = queue.pop_same_kind("a", time)
+            if event is None:
+                break
+            trace.append(("drained", event.time, event.payload))
+
+    def on_b(payload, time):
+        trace.append(("dispatch", time, "b", payload))
+        if payload % 2 == 0:
+            queue.schedule(time, "c", next(payloads))
+
+    def on_c(payload, time):
+        trace.append(("dispatch", time, "c", payload))
+
+    handlers = {"a": on_a, "b": on_b, "c": on_c}
     for schedules, action in ops:
         for delay, kind in schedules:
-            queue.schedule(queue.now + delay, kind, payload)
-            payload += 1
+            queue.schedule(queue.now + delay, kind, next(payloads))
         if action == "peek":
             trace.append(("peek", queue.peek_time))
         elif action == "same-a":
@@ -453,10 +625,8 @@ def _drive(queue, ops):
             trace.append(
                 ("same-now", None if event is None else (event.time, event.kind, event.payload))
             )
-        elif action == "iter3":
-            horizon = queue.now + 10
-            for event in queue.iter_until(horizon):
-                trace.append(("iter", event.time, event.kind, event.payload))
+        elif action == "dispatch10":
+            queue.dispatch(handlers, horizon=queue.now + 10)
         else:
             count = 2 if action == "pop2" else 1
             for _ in range(count):
@@ -465,8 +635,7 @@ def _drive(queue, ops):
                     ("pop", None if event is None else (event.time, event.kind, event.payload))
                 )
         trace.append(("state", queue.now, queue.pending, queue.processed))
-    for event in queue:
-        trace.append(("drain", event.time, event.kind, event.payload))
+    queue.dispatch(handlers)
     trace.append(("final", queue.now, queue.pending, queue.processed, queue.empty))
     return trace
 

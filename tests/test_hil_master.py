@@ -14,12 +14,13 @@ not reach on their own:
 * ready batches interleaved with worker completions at one cycle (the
   ``pop_same_kind`` miss path between the two batch kinds) must stay
   cycle-identical to per-event delivery, including every counter.
+
+Per-event delivery is the one-event-per-call oracle in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import pytest
 
@@ -31,7 +32,7 @@ from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.results import TaskTimeline
 from repro.traces.synthetic import random_program
 
-from tests.helpers import make_program
+from tests.helpers import ReferenceHILSimulator, make_program
 
 A, B = 0x1000, 0x2000
 
@@ -43,19 +44,20 @@ def fanout_program(readers: int = 8, duration: int = 30):
 
 
 def run_all_delivery_modes(program, *, mode, num_workers, config=None, policy=SchedulingPolicy.FIFO):
-    """The same simulation under every batching-flag combination."""
-    results = {}
-    for batch_completions, batch_ready in itertools.product((True, False), repeat=2):
-        results[(batch_completions, batch_ready)] = HILSimulator(
+    """The same simulation, batched and through the per-event oracle."""
+    return {
+        name: simulator(
             program,
             config=config,
             mode=mode,
             num_workers=num_workers,
             policy=policy,
-            batch_completions=batch_completions,
-            batch_ready_events=batch_ready,
         ).run()
-    return results
+        for name, simulator in (
+            ("batched", HILSimulator),
+            ("reference", ReferenceHILSimulator),
+        )
+    }
 
 
 def primed_simulator(program, **kwargs) -> HILSimulator:
@@ -67,11 +69,9 @@ def primed_simulator(program, **kwargs) -> HILSimulator:
 
 
 def assert_all_identical(results):
-    reference = dataclasses.asdict(results[(False, False)])
-    for flags, result in results.items():
-        assert dataclasses.asdict(result) == reference, (
-            f"delivery mode {flags} diverged from the per-event reference"
-        )
+    assert dataclasses.asdict(results["batched"]) == dataclasses.asdict(
+        results["reference"]
+    ), "batched delivery diverged from the per-event reference"
 
 
 class TestMasterRearm:
@@ -150,7 +150,7 @@ class TestKickAtCurrentCycleAfterPeek:
                 program, mode=mode, num_workers=3, config=config
             )
             assert_all_identical(results)
-            assert results[(True, True)].completed_all()
+            assert results["batched"].completed_all()
 
 
 class _MasterClusterCountingQueue:
@@ -190,12 +190,8 @@ class TestMasterCompletionClusters:
         batched = sim.run()
         assert batched.completed_all()
         assert sim.queue.master_cluster_pops > 0  # real clusters formed
-        reference = HILSimulator(
-            program,
-            config=config,
-            mode=HILMode.HW_COMM,
-            num_workers=3,
-            batch_completions=False,
+        reference = ReferenceHILSimulator(
+            program, config=config, mode=HILMode.HW_COMM, num_workers=3
         ).run()
         assert dataclasses.asdict(batched) == dataclasses.asdict(reference)
 
@@ -228,12 +224,8 @@ class TestReadyBatchInterleaving:
         result = sim.run()
         assert result.completed_all()
         assert sim._ready_batch_extra > 0  # at least one real cluster
-        reference = HILSimulator(
-            program,
-            config=config,
-            mode=HILMode.HW_ONLY,
-            num_workers=8,
-            batch_ready_events=False,
+        reference = ReferenceHILSimulator(
+            program, config=config, mode=HILMode.HW_ONLY, num_workers=8
         ).run()
         # Field-for-field identity includes the per-delivered-event
         # accounting: a consumed cluster counts once per notification.
@@ -254,7 +246,7 @@ class TestReadyBatchInterleaving:
             program, mode=mode, num_workers=4, config=config
         )
         assert_all_identical(results)
-        assert results[(True, True)].completed_all()
+        assert results["batched"].completed_all()
 
     @pytest.mark.parametrize("mode", list(HILMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("seed", [1, 7, 23])

@@ -375,7 +375,7 @@ class TestHandlerTableRule:
         import ast as ast_module
 
         expectations = {
-            "sim/hil.py": {"_EV_": 4, "_JOB_": 3},
+            "sim/hil.py": {"_EV_": 3, "_JOB_": 3},
             "runtime/nanos.py": {"_EV_": 3},
         }
         for key, families in expectations.items():

@@ -8,10 +8,11 @@ move a single cycle.  Two independent nets pin that down:
   and all per-task timelines) is digested and compared against values
   recorded from the pre-optimization engine, so any behavioural drift in
   the optimized code fails loudly;
-* **reference-loop parity** -- the HIL and Nanos++ simulators keep an
-  event-per-event reference delivery mode (``batch_completions=False``);
-  batched and reference runs must produce field-for-field identical
-  results.  This is the check the CI bench job replays.
+* **oracle parity** -- the test-only oracles in ``tests/helpers.py``
+  deliver one engine event per ready notification and completion, with
+  independent one-event-per-call handlers; batched runs must produce
+  field-for-field identical results.  This is the check the CI bench job
+  replays.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest, build_workload
+
+from tests.helpers import ReferenceHILSimulator, ReferenceNanosSimulator
 
 
 def result_digest(result) -> str:
@@ -171,44 +174,43 @@ class TestReferenceDatapathGolden:
 
 
 class TestReferenceLoopParity:
-    """Batched completion delivery is cycle-identical to event-per-event."""
+    """Batched delivery is cycle-identical to one event per delivery."""
 
     @pytest.mark.parametrize("mode", list(HILMode))
     @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_hil_batched_matches_reference(self, mode, workers):
         program = build_workload("cholesky", 128, 512)
-        batched = HILSimulator(
-            program, mode=mode, num_workers=workers, batch_completions=True
-        ).run()
-        reference = HILSimulator(
-            program, mode=mode, num_workers=workers, batch_completions=False
+        batched = HILSimulator(program, mode=mode, num_workers=workers).run()
+        reference = ReferenceHILSimulator(
+            program, mode=mode, num_workers=workers
         ).run()
         assert dataclasses.asdict(batched) == dataclasses.asdict(reference)
 
     @pytest.mark.parametrize("mode", list(HILMode))
     @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_hil_ready_batching_matches_reference(self, mode, workers):
-        """READY_BATCH cycle-cluster delivery equals per-notification events."""
+        """READY_BATCH cycle-cluster delivery equals per-notification events.
+
+        ``chain_hop_cycles=0`` wakes a whole consumer chain at one cycle,
+        so most ready notifications travel in multi-task clusters.
+        """
         program = build_workload("cholesky", 128, 512)
-        batched = HILSimulator(program, mode=mode, num_workers=workers).run()
-        reference = HILSimulator(
-            program,
-            mode=mode,
-            num_workers=workers,
-            batch_completions=False,
-            batch_ready_events=False,
+        config = PicosConfig(chain_hop_cycles=0)
+        batched = HILSimulator(
+            program, config=config, mode=mode, num_workers=workers
+        )
+        result = batched.run()
+        assert batched._ready_batch_extra > 0  # real clusters formed
+        reference = ReferenceHILSimulator(
+            program, config=config, mode=mode, num_workers=workers
         ).run()
-        assert dataclasses.asdict(batched) == dataclasses.asdict(reference)
+        assert dataclasses.asdict(result) == dataclasses.asdict(reference)
 
     @pytest.mark.parametrize("workers", [1, 3, 8])
     def test_nanos_batched_matches_reference(self, workers):
         program = build_workload("sparselu", 128, 512)
-        batched = NanosRuntimeSimulator(
-            program, workers, batch_completions=True
-        ).run()
-        reference = NanosRuntimeSimulator(
-            program, workers, batch_completions=False
-        ).run()
+        batched = NanosRuntimeSimulator(program, workers).run()
+        reference = ReferenceNanosSimulator(program, workers).run()
         assert dataclasses.asdict(batched) == dataclasses.asdict(reference)
 
     def test_every_builtin_backend_has_a_golden_row(self):
@@ -253,8 +255,8 @@ class TestEventsProcessedCounter:
 
     def test_batched_delivery_counts_every_event(self):
         program = build_workload("cholesky", 128, 512)
-        batched = HILSimulator(program, num_workers=4, batch_completions=True).run()
-        reference = HILSimulator(program, num_workers=4, batch_completions=False).run()
+        batched = HILSimulator(program, num_workers=4).run()
+        reference = ReferenceHILSimulator(program, num_workers=4).run()
         assert (
             batched.counters["events_processed"]
             == reference.counters["events_processed"]

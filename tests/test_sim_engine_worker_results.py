@@ -4,9 +4,30 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import EventQueue
+from repro.sim.engine import Event, EventQueue
 from repro.sim.results import SimulationResult, TaskTimeline
 from repro.sim.worker import WorkerPool
+
+
+class _Recorder(dict):
+    """A handler table with a recording handler for every kind."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.delivered = []
+
+    def get(self, kind, default=None):
+        def handler(payload, time):
+            self.delivered.append(Event(time, kind, payload))
+
+        return handler
+
+
+def dispatched(queue, horizon=None):
+    """The events ``queue.dispatch`` delivers, in delivery order."""
+    recorder = _Recorder()
+    queue.dispatch(recorder, horizon=horizon)
+    return recorder.delivered
 
 
 class TestEventQueue:
@@ -15,7 +36,7 @@ class TestEventQueue:
         queue.schedule(30, "c")
         queue.schedule(10, "a")
         queue.schedule(20, "b")
-        kinds = [event.kind for event in queue]
+        kinds = [event.kind for event in dispatched(queue)]
         assert kinds == ["a", "b", "c"]
         assert queue.now == 30
 
@@ -23,7 +44,7 @@ class TestEventQueue:
         queue = EventQueue()
         for index in range(5):
             queue.schedule(7, "tick", index)
-        payloads = [event.payload for event in queue]
+        payloads = [event.payload for event in dispatched(queue)]
         assert payloads == [0, 1, 2, 3, 4]
 
     def test_schedule_in_uses_current_time(self):
@@ -65,21 +86,21 @@ class TestEventQueue:
         queue.pop()
         assert queue.peek_time == 30
 
-    def test_iter_until_stops_at_the_horizon_and_resumes(self):
+    def test_dispatch_stops_at_the_horizon_and_resumes(self):
         queue = EventQueue()
         for time in (5, 10, 15, 20):
             queue.schedule(time, f"t{time}")
-        early = [event.kind for event in queue.iter_until(12)]
+        early = [event.kind for event in dispatched(queue, horizon=12)]
         assert early == ["t5", "t10"]
         assert queue.now == 10  # the clock never passes the horizon
         assert queue.pending == 2
-        late = [event.kind for event in queue]
+        late = [event.kind for event in dispatched(queue)]
         assert late == ["t15", "t20"]
 
-    def test_iter_until_includes_events_at_the_horizon(self):
+    def test_dispatch_includes_events_at_the_horizon(self):
         queue = EventQueue()
         queue.schedule(7, "on-time")
-        assert [e.kind for e in queue.iter_until(7)] == ["on-time"]
+        assert [e.kind for e in dispatched(queue, horizon=7)] == ["on-time"]
 
     def test_earlier_events_scheduled_after_a_peek_still_go_first(self):
         # Regression: the calendar queue must not commit to the peeked
@@ -91,7 +112,7 @@ class TestEventQueue:
         assert queue.peek_time == 20
         assert queue.pop_same_kind("late", 0) is None  # miss at now=0
         queue.schedule(10, "early")
-        kinds = [event.kind for event in queue]
+        kinds = [event.kind for event in dispatched(queue)]
         assert kinds == ["early", "late"]
 
 
@@ -120,7 +141,7 @@ class TestPopSameKindInterleavedKinds:
             run.append(event.payload)
         assert run == [1]
         # Delivery order of the remainder is untouched.
-        assert [(e.kind, e.payload) for e in queue] == [
+        assert [(e.kind, e.payload) for e in dispatched(queue)] == [
             ("b", 2),
             ("a", 3),
             ("b", 4),
@@ -138,7 +159,7 @@ class TestPopSameKindInterleavedKinds:
             assert queue.pop_same_kind("b", 3) is None
         assert (queue.now, queue.pending, queue.processed, queue.peek_time) == before
         # And the full interleaved cycle drains every event exactly once.
-        drained = [event.payload for event in queue]
+        drained = [event.payload for event in dispatched(queue)]
         assert drained == list(range(1, 100))
 
     def test_interleaved_kinds_drain_in_linear_operation_count(self):

@@ -450,6 +450,22 @@ class TestOnDiskFormat:
         with pytest.raises(SnapshotError, match=SNAPSHOT_FORMAT):
             SimulationSnapshot.from_document(foreign)
 
+    def test_version_1_faulted_documents_are_refused_at_load(self):
+        """Version 1 queued the ready notifications of faulted HIL runs as
+        ``task-visible`` events, a kind the simulator no longer handles;
+        loading such a document fails up front, not mid-restore."""
+        from repro.faults import parse_fault_spec
+
+        faults = (parse_fault_spec("delay-event@p=0.5:class=ready:seed=3"),)
+        session = open_session(_workload_request("cholesky", "hil-full", faults=faults))
+        session.advance(30_000)
+        document = capture(session).document()
+        session.close()
+        assert SNAPSHOT_VERSION == 2
+        assert '"task-visible"' not in json.dumps(document)
+        with pytest.raises(SnapshotError, match="unsupported snapshot version 1"):
+            SimulationSnapshot.from_document(dict(document, version=1))
+
     def test_garbage_files_raise_snapshot_errors(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("{not json")
