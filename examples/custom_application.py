@@ -28,7 +28,8 @@ from repro.analysis.report import render_table
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.perfect import PerfectScheduler
 from repro.runtime.task import Dependence, Direction, TaskProgram
-from repro.sim.driver import simulate_program
+from repro.sim.driver import simulate_request
+from repro.sim.request import SimulationRequest
 from repro.traces.trace import TaskTrace, load_trace, save_trace
 
 TILE_BYTES = 256 * 1024
@@ -110,7 +111,9 @@ def main() -> None:
         )
 
     # --- simulate with the three runtimes ----------------------------------
-    picos = simulate_program(restored, num_workers=workers, backend="hil-full")
+    picos = simulate_request(
+        SimulationRequest.for_program(restored, num_workers=workers, backend="hil-full")
+    )
     nanos = NanosRuntimeSimulator(restored, num_threads=workers).run()
     perfect = PerfectScheduler(restored, num_workers=workers).run()
 

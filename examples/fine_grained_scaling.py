@@ -25,7 +25,8 @@ from repro.analysis.report import render_series
 from repro.apps.registry import build_benchmark
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.perfect import PerfectScheduler
-from repro.sim.driver import simulate_program
+from repro.sim.driver import simulate_request
+from repro.sim.request import SimulationRequest
 
 
 def main() -> None:
@@ -44,7 +45,9 @@ def main() -> None:
         task_counts.append(program.num_tasks)
         task_sizes.append(program.average_task_size)
 
-        picos = simulate_program(program, num_workers=workers, backend="hil-full")
+        picos = simulate_request(
+            SimulationRequest.for_program(program, num_workers=workers, backend="hil-full")
+        )
         nanos = NanosRuntimeSimulator(program, num_threads=workers).run()
         perfect = PerfectScheduler(program, num_workers=workers).run()
 

@@ -7,9 +7,11 @@ Runs any table or figure of the paper from a terminal::
     picos-experiment fig11 --full --cache-dir /tmp/picos-cache
     picos-experiment all --quick
 
-The ``--quick`` flag shrinks the problem sizes so every experiment finishes
-in seconds (useful for smoke testing); ``--full`` selects the complete
-paper matrix where a reduced default exists (Figure 11).
+Each subcommand accepts only the flags it reads
+(``picos-experiment <command> --help`` lists them); any other flag is a
+usage error.  ``--quick`` shrinks the problem sizes so an experiment
+finishes in seconds (useful for smoke testing); ``--full`` selects the
+complete paper matrix where a reduced default exists (Figure 11).
 
 Simulations fan out over a process pool (``--jobs``, defaulting to every
 CPU) and memoize their results in an on-disk cache (``--cache-dir``,
@@ -71,6 +73,13 @@ It prints one ``serving <proto> on <host>:<port>`` line per listener
 (parseable, so ``--port 0`` works for tooling) and runs until SIGINT or
 SIGTERM, draining running sessions before exiting.  See
 ``docs/service.md`` for the protocol and operations guide.
+
+``picos-experiment lint`` runs the repro-lint invariant checker, exactly
+like ``python -m repro.lint``::
+
+    picos-experiment lint                     # the installed repro package
+    picos-experiment lint src/repro/core      # explicit files or directories
+    picos-experiment lint --list-rules
 """
 
 from __future__ import annotations
@@ -79,7 +88,8 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional
+from types import ModuleType
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.experiments import (
     fig01_granularity,
@@ -98,8 +108,6 @@ from repro.sim.hil import HILMode
 
 #: Problem size used by ``--quick`` for the dense / sparse kernels.
 QUICK_PROBLEM_SIZE = 1024
-#: Frame count used by ``--quick`` for H264dec.
-QUICK_FRAMES = 2
 
 #: Signature of every experiment entry: (quick, full, options, backend).
 ExperimentRunner = Callable[[bool, bool, RunnerOptions, Optional[str]], str]
@@ -213,16 +221,31 @@ def _run_table4(
     )
 
 
-EXPERIMENTS: Dict[str, ExperimentRunner] = {
-    "fig1": _run_fig01,
-    "fig8": _run_fig08,
-    "fig9": _run_fig09,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "table3": _run_table3,
-    "table4": _run_table4,
+class Experiment(NamedTuple):
+    """One table or figure: its module, runner and flags."""
+
+    module: ModuleType
+    run: ExperimentRunner
+    #: Which of --quick/--full/--backend the runner reads; its subcommand
+    #: accepts exactly these plus --jobs/--cache-dir/--no-cache.
+    flags: Tuple[str, ...] = ()
+
+    @property
+    def title(self) -> str:
+        """The first line of the module docstring ("Figure 8: ...")."""
+        return (self.module.__doc__ or "").split("\n", 1)[0].rstrip(".")
+
+
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig1": Experiment(fig01_granularity, _run_fig01, ("--quick", "--backend")),
+    "fig8": Experiment(fig08_dm_designs, _run_fig08, ("--quick", "--backend")),
+    "fig9": Experiment(fig09_lu_corner, _run_fig09, ("--quick", "--backend")),
+    "fig10": Experiment(fig10_nanos_overhead, _run_fig10),
+    "fig11": Experiment(fig11_scalability, _run_fig11, ("--quick", "--full", "--backend")),
+    "table1": Experiment(table1_benchmarks, _run_table1),
+    "table2": Experiment(table2_dm_conflicts, _run_table2, ("--quick", "--backend")),
+    "table3": Experiment(table3_resources, _run_table3),
+    "table4": Experiment(table4_synthetic, _run_table4, ("--backend",)),
 }
 
 
@@ -234,7 +257,7 @@ def render_backends() -> str:
     return "\n".join(lines)
 
 
-def run_simulate(args: argparse.Namespace) -> str:
+def run_simulate(args: argparse.Namespace) -> int:
     """Drive one workload through a streaming session (see module docs)."""
     from repro.sim.request import SimulationRequest
     from repro.sim.session import open_session
@@ -253,8 +276,6 @@ def run_simulate(args: argparse.Namespace) -> str:
             raise SystemExit(f"--fault: {exc}") from None
     lines = []
     if args.restore is not None:
-        if args.workload:
-            raise SystemExit("--restore resumes a snapshot; drop --workload")
         if faults:
             raise SystemExit(
                 "--fault cannot be combined with --restore: armed scenarios "
@@ -272,17 +293,11 @@ def run_simulate(args: argparse.Namespace) -> str:
             f"from {args.restore}"
         )
     else:
-        if not args.workload:
-            raise SystemExit(
-                "simulate requires --workload (a benchmark or caseN name) "
-                "or --restore PATH"
-            )
-        backend = args.backend or "hil-full"
         request = SimulationRequest.for_workload(
             args.workload,
             block_size=args.block_size,
             problem_size=args.problem_size,
-            backend=backend,
+            backend=args.backend,
             num_workers=args.workers,
             faults=faults,
         )
@@ -293,7 +308,7 @@ def run_simulate(args: argparse.Namespace) -> str:
             # here (program construction); give a CLI error, not a traceback.
             raise SystemExit(str(exc)) from None
         lines.append(
-            f"request: workload={args.workload!r} backend={backend!r} "
+            f"request: workload={args.workload!r} backend={args.backend!r} "
             f"workers={args.workers} cache_key={request.cache_key()}"
         )
         for spec, scenario in zip(args.fault or [], faults):
@@ -339,7 +354,8 @@ def run_simulate(args: argparse.Namespace) -> str:
             f"faults: injected={result.counters['faults_injected']} "
             f"recovered={result.counters['faults_recovered']}"
         )
-    return "\n".join(lines)
+    print("\n".join(lines))
+    return 0
 
 
 def _parse_tenant_value(entries, what: str, convert):
@@ -389,8 +405,6 @@ def run_serve(args: argparse.Namespace) -> int:
         idle_timeout=args.idle_timeout,
     )
     if args.slice_cycles is not None:
-        if args.slice_cycles < 1:
-            raise SystemExit("--slice-cycles must be at least 1")
         config.slice_cycles = args.slice_cycles
     try:
         asyncio.run(serve_until_interrupted(config))
@@ -504,86 +518,75 @@ def run_bench_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the command-line argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="picos-experiment",
-        description="Reproduce the tables and figures of the Picos ISPASS 2016 paper.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(EXPERIMENTS)
-        + ["all", "backends", "simulate", "bench", "serve", "lint"],
-        help="which table/figure to reproduce ('all' for every one, "
-        "'backends' to list the simulator backends, 'simulate' to drive "
-        "one workload through the streaming session API, 'bench' to time "
-        "the simulators and write a BENCH_<date>.json snapshot, 'serve' to "
-        "start the simulation service, 'lint' to run the repro-lint "
-        "invariant checker over the package)",
-    )
-    parser.add_argument(
-        "--quick",
+def _at_least_one(text: str) -> int:
+    """``type=`` of the count flags (``--jobs``, ``--workers``, ...)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+#: The flags an experiment may read beyond --jobs/--cache-dir/--no-cache.
+_EXPERIMENT_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--quick": dict(
         action="store_true",
-        help="use reduced problem sizes so every experiment finishes in seconds",
-    )
-    parser.add_argument(
-        "--full",
+        help="use reduced problem sizes so the experiment finishes in seconds",
+    ),
+    "--full": dict(
         action="store_true",
         help="use the complete paper matrix where a reduced default exists",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="simulation jobs to run in parallel (default: all CPUs)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
+    ),
+    "--backend": dict(
         metavar="NAME",
         help="re-target the experiment's sweep at one simulator backend "
-        "(hil-full, hil-hw, hil-comm, nanos, perfect, or a plug-in); "
-        "ignored by the purely analytic experiments (fig10, table1, table3)",
+        "(hil-full, hil-hw, hil-comm, nanos, perfect, or a plug-in)",
+    ),
+}
+
+
+def _add_simulate_parser(commands: Any) -> None:
+    simulate = commands.add_parser(
+        "simulate",
+        help="drive one workload through the streaming session API",
+        description="Drive one workload through a streaming session.",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="directory of the on-disk result cache "
-        "(default: $PICOS_CACHE_DIR or .picos-cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache for this run",
-    )
-    simulate = parser.add_argument_group(
-        "simulate", "options for the 'simulate' session-driven command"
-    )
-    simulate.add_argument(
+    simulate.set_defaults(handler=run_simulate)
+    source = simulate.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "--workload",
-        default=None,
         metavar="NAME",
         help="benchmark (cholesky, lu, ...) or synthetic case (case1..case7)",
+    )
+    source.add_argument(
+        "--restore",
+        metavar="PATH",
+        help="resume a run from a snapshot document instead of opening a "
+        "fresh workload",
     )
     simulate.add_argument(
         "--block-size",
         type=int,
-        default=None,
         metavar="N",
         help="block size of the benchmark (unused for synthetic cases)",
     )
     simulate.add_argument(
         "--problem-size",
         type=int,
-        default=None,
         metavar="N",
         help="problem-size override (default: the paper's size)",
     )
     simulate.add_argument(
+        "--backend",
+        default="hil-full",
+        metavar="NAME",
+        help="simulator backend to run (default: hil-full)",
+    )
+    simulate.add_argument(
         "--workers",
-        type=int,
+        type=_at_least_one,
         default=12,
         metavar="N",
         help="worker cores to simulate (default: 12, as in the paper)",
@@ -591,7 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--until-cycle",
         type=int,
-        default=None,
         metavar="CYCLE",
         help="stop delivering lifecycle events at this cycle (early abort)",
     )
@@ -605,48 +607,52 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--checkpoint-at",
         type=int,
-        default=None,
         metavar="CYCLE",
         help="snapshot the run at this cycle boundary (0 = before any "
         "work); the run then continues to completion as usual",
     )
     simulate.add_argument(
         "--checkpoint-to",
-        default=None,
         metavar="PATH",
         help="write the snapshot document to PATH (required with "
         "--checkpoint-at; without it, snapshots before any work)",
     )
     simulate.add_argument(
-        "--restore",
-        default=None,
-        metavar="PATH",
-        help="resume a run from a snapshot document instead of opening a "
-        "fresh workload (mutually exclusive with --workload)",
-    )
-    simulate.add_argument(
         "--fault",
         action="append",
-        default=None,
         metavar="SPEC",
         help="arm one fault scenario (repeatable); SPEC is "
         "KIND@TRIGGER[:OPT=V...], e.g. "
         "'kill-worker@cycle=5000:worker=3' or "
         "'drop-event@p=0.01:class=ready:seed=7' (see docs/faults.md)",
     )
-    bench = parser.add_argument_group(
-        "bench", "options for the 'bench' performance-snapshot command"
+
+
+def _add_bench_parser(commands: Any) -> None:
+    bench = commands.add_parser(
+        "bench",
+        help="time the simulators and write a BENCH_<date>.json snapshot",
+        description="Time the simulators and snapshot/compare the numbers.",
+    )
+    bench.set_defaults(handler=run_bench_command)
+    bench.add_argument(
+        "--quick",
+        action="store_true",
+        help="time the reduced CI smoke matrix",
+    )
+    bench.add_argument(
+        "--backend",
+        metavar="NAME",
+        help="time only this simulator backend in every cell",
     )
     bench.add_argument(
         "--output",
-        default=None,
         metavar="PATH",
         help="where to write the benchmark snapshot "
         "(default: ./BENCH_<today>.json)",
     )
     bench.add_argument(
         "--compare",
-        default=None,
         metavar="PATH",
         help="diff the fresh run against an earlier BENCH_*.json snapshot",
     )
@@ -659,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--repeats",
-        type=int,
+        type=_at_least_one,
         default=1,
         metavar="N",
         help="timing repeats per cell; the best wall time is kept (default: 1)",
@@ -674,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--fail-threshold",
         type=float,
-        default=None,
         metavar="FRACTION",
         help="relative wall-time growth that counts as a regression when "
         "comparing (default: 0.25; the CI gate uses 0.15)",
@@ -693,9 +698,15 @@ def build_parser() -> argparse.ArgumentParser:
         "writes BENCH_service_<date>.json, which the regression gate "
         "never reads)",
     )
-    serve = parser.add_argument_group(
-        "serve", "options for the 'serve' simulation-service command"
+
+
+def _add_serve_parser(commands: Any) -> None:
+    serve = commands.add_parser(
+        "serve",
+        help="start the simulation service",
+        description="Start the simulation service in the foreground.",
     )
+    serve.set_defaults(handler=run_serve)
     serve.add_argument(
         "--host",
         default="127.0.0.1",
@@ -723,16 +734,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the HTTP adapter entirely",
     )
     serve.add_argument(
+        "--cache-dir",
+        metavar="PATH",
+        help="directory of the shared on-disk result cache "
+        "(default: no cache)",
+    )
+    serve.add_argument(
         "--max-sessions",
         type=int,
-        default=None,
         metavar="N",
         help="server-wide concurrent-session cap (default: unlimited)",
     )
     serve.add_argument(
         "--default-tenant-sessions",
         type=int,
-        default=None,
         metavar="N",
         help="per-tenant concurrent-session quota applied to tenants "
         "without an explicit --tenant-sessions entry (default: unlimited)",
@@ -740,7 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--default-tenant-rate",
         type=float,
-        default=None,
         metavar="CYCLES",
         help="per-tenant simulated-cycles-per-second throttle applied to "
         "tenants without an explicit --tenant-rate entry (default: none)",
@@ -759,8 +773,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--slice-cycles",
-        type=int,
-        default=None,
+        type=_at_least_one,
         metavar="N",
         help="default cooperative-slice cycle budget "
         "(requests may override via their stream options)",
@@ -773,15 +786,70 @@ def build_parser() -> argparse.ArgumentParser:
         help="evict sessions that were accepted but never run after this "
         "long idle (default: 300)",
     )
-    lint = parser.add_argument_group(
-        "lint", "options for the 'lint' invariant-checker command"
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Build the command-line argument parser: one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="picos-experiment",
+        description="Reproduce the tables and figures of the Picos ISPASS 2016 paper.",
     )
-    lint.add_argument(
-        "--lint-path",
-        action="append",
+    commands = parser.add_subparsers(
+        dest="experiment", required=True, metavar="COMMAND", title="commands"
+    )
+    runner = argparse.ArgumentParser(add_help=False)
+    runner.set_defaults(
+        handler=_run_experiments, quick=False, full=False, backend=None
+    )
+    runner.add_argument(
+        "--jobs",
+        type=_at_least_one,
+        metavar="N",
+        help="simulation jobs to run in parallel (default: all CPUs)",
+    )
+    runner.add_argument(
+        "--cache-dir",
         metavar="PATH",
-        help="file or directory to lint (repeatable; default: the installed "
-        "repro package)",
+        help="directory of the on-disk result cache "
+        "(default: $PICOS_CACHE_DIR or .picos-cache)",
+    )
+    runner.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk result cache for this run",
+    )
+    for name, experiment in EXPERIMENTS.items():
+        command = commands.add_parser(
+            name, parents=[runner], help=experiment.title, description=experiment.title
+        )
+        for flag in experiment.flags:
+            command.add_argument(flag, **_EXPERIMENT_FLAGS[flag])
+    every = commands.add_parser(
+        "all",
+        parents=[runner],
+        help="every table and figure above",
+        description="Every table and figure; --backend is ignored by the "
+        "purely analytic experiments (fig10, table1, table3).",
+    )
+    for flag, spec in _EXPERIMENT_FLAGS.items():
+        every.add_argument(flag, **spec)
+    commands.add_parser(
+        "backends", help="list the registered simulator backends"
+    ).set_defaults(handler=_run_backends)
+    _add_simulate_parser(commands)
+    _add_bench_parser(commands)
+    _add_serve_parser(commands)
+    lint = commands.add_parser(
+        "lint",
+        help="run the repro-lint invariant checker",
+        description="Run the repro-lint invariant checker (python -m repro.lint).",
+    )
+    lint.set_defaults(handler=_run_lint)
+    lint.add_argument(
+        "paths",
+        nargs="*",
+        metavar="PATH",
+        help="file or directory to lint (default: the installed repro package)",
     )
     lint.add_argument(
         "--list-rules",
@@ -794,8 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
 def runner_options_from_args(args: argparse.Namespace) -> RunnerOptions:
     """Translate parsed CLI arguments into runner options."""
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    if jobs < 1:
-        raise SystemExit("--jobs must be at least 1")
     if args.no_cache:
         cache_dir = None
     elif args.cache_dir is not None:
@@ -805,46 +871,13 @@ def runner_options_from_args(args: argparse.Namespace) -> RunnerOptions:
     return RunnerOptions(jobs=jobs, cache_dir=cache_dir)
 
 
-def main(argv: Optional[list] = None) -> int:
-    """Console-script entry point."""
-    args = build_parser().parse_args(argv)
-    if args.experiment == "backends":
-        print(render_backends())
-        return 0
-    if args.experiment == "lint":
-        from repro.lint.cli import main as lint_main
-
-        lint_argv = list(args.lint_path or [])
-        if args.list_rules:
-            lint_argv.append("--list-rules")
-        return lint_main(lint_argv)
-    if args.experiment == "simulate":
-        if args.backend is not None and args.backend not in describe_backends():
-            print(f"unknown backend {args.backend!r}", file=sys.stderr)
-            print(render_backends(), file=sys.stderr)
-            return 2
-        print(run_simulate(args))
-        return 0
-    if args.experiment == "serve":
-        return run_serve(args)
-    if args.experiment == "bench":
-        if args.backend is not None and args.backend not in describe_backends():
-            print(f"unknown backend {args.backend!r}", file=sys.stderr)
-            print(render_backends(), file=sys.stderr)
-            return 2
-        if args.repeats < 1:
-            raise SystemExit("--repeats must be at least 1")
-        return run_bench_command(args)
-    if args.backend is not None and args.backend not in describe_backends():
-        print(f"unknown backend {args.backend!r}", file=sys.stderr)
-        print(render_backends(), file=sys.stderr)
-        return 2
+def _run_experiments(args: argparse.Namespace) -> int:
     options = runner_options_from_args(args)
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         start = time.time()
         try:
-            output = EXPERIMENTS[name](args.quick, args.full, options, args.backend)
+            output = EXPERIMENTS[name].run(args.quick, args.full, options, args.backend)
         except (SystemExit, ValueError) as exc:
             # An experiment that cannot honour --backend aborts with a
             # message (SystemExit from a wrapper, ValueError from the
@@ -861,6 +894,28 @@ def main(argv: Optional[list] = None) -> int:
         print(output)
         print()
     return 0
+
+
+def _run_backends(args: argparse.Namespace) -> int:
+    print(render_backends())
+    return 0
+
+
+def _run_lint(args: argparse.Namespace) -> int:
+    from repro.lint.cli import main as lint_main
+
+    return lint_main(args.paths + (["--list-rules"] if args.list_rules else []))
+
+
+def main(argv: Optional[list] = None) -> int:
+    """Console-script entry point."""
+    args = build_parser().parse_args(argv)
+    backend = getattr(args, "backend", None)
+    if backend is not None and backend not in describe_backends():
+        print(f"unknown backend {backend!r}", file=sys.stderr)
+        print(render_backends(), file=sys.stderr)
+        return 2
+    return args.handler(args)
 
 
 if __name__ == "__main__":

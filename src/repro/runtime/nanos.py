@@ -480,8 +480,7 @@ class NanosBackend:
 
     ``num_workers`` maps to the runtime's thread-team size.  A Picos
     configuration or scheduling policy in a request is rejected by the
-    typed API (the software runtime has neither); the legacy
-    ``simulate_program`` shim warns and drops them instead.
+    typed API (the software runtime has neither).
     """
 
     name = BACKEND_NANOS

@@ -142,7 +142,7 @@ class PerfectBackend:
 
     Configuration, policy and overhead parameters are rejected by the typed
     request API (the roofline scheduler has zero management overhead by
-    definition); the legacy ``simulate_program`` shim warns and drops them.
+    definition).
     """
 
     name = BACKEND_PERFECT

@@ -7,12 +7,10 @@ backend, how many workers, and the backend-specific knobs (Picos
 configuration, Dependence Memory design shortcut, scheduling policy,
 Nanos++ overhead model, random seed).
 
-The request replaces the historical keyword soup of ``simulate_program``:
-instead of every backend silently swallowing the parameters it does not
-understand through ``**kwargs``, a request is checked against the
-backend's declared parameter set (:func:`repro.sim.backend.
-backend_accepted_parameters`) and rejects unknown ones with a clear
-:class:`InvalidRequestError`.  Because the request is a frozen dataclass it
+A request is checked against the backend's declared parameter set
+(:func:`repro.sim.backend.backend_accepted_parameters`) and rejects
+unknown ones with a clear :class:`InvalidRequestError` instead of letting
+the backend swallow them.  Because the request is a frozen dataclass it
 is also the natural unit for cache keys (:meth:`SimulationRequest.
 cache_key`), sweep templates (:mod:`repro.experiments.runner`) and future
 multi-tenant serving queues.
@@ -54,11 +52,8 @@ class InvalidRequestError(ValueError):
     """A simulation request carries parameters its backend does not accept.
 
     Raised by :meth:`SimulationRequest.validate` (and therefore by the
-    typed entry points :func:`repro.sim.driver.simulate_request` and
-    :func:`repro.sim.session.open_session`).  The legacy
-    ``simulate_program`` shim downgrades this to a ``DeprecationWarning``
-    and drops the offending parameters instead, preserving the historical
-    silent-swallowing behaviour for old call sites.
+    entry points :func:`repro.sim.driver.simulate_request` and
+    :func:`repro.sim.session.open_session`).
     """
 
     def __init__(self, backend: str, parameters: Tuple[str, ...]) -> None:
@@ -67,8 +62,7 @@ class InvalidRequestError(ValueError):
         names = ", ".join(repr(p) for p in parameters)
         super().__init__(
             f"backend {backend!r} does not accept parameter(s) {names}; "
-            "remove them from the SimulationRequest (the legacy "
-            "simulate_program shim warns and drops them instead)"
+            "remove them from the SimulationRequest"
         )
 
 

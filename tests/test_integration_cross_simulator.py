@@ -14,7 +14,7 @@ from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.dependence_analysis import build_task_graph, ready_order_is_valid
 from repro.runtime.nanos import NanosRuntimeSimulator
 from repro.runtime.perfect import PerfectScheduler
-from repro.sim.driver import simulate_program, simulate_request
+from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest
 
@@ -37,19 +37,25 @@ class TestEndToEndCorrectness:
     @pytest.mark.parametrize("bench,block", [("heat", 128), ("cholesky", 128), ("lu", 64), ("sparselu", 128)])
     def test_real_benchmarks_run_correctly_through_picos(self, bench, block):
         program = build_benchmark(bench, block, problem_size=SMALL)
-        result = simulate_program(program, num_workers=8, backend="hil-full")
+        result = simulate_request(
+            SimulationRequest.for_program(program, num_workers=8, backend="hil-full")
+        )
         assert result.completed_all()
         assert ready_order_is_valid(program, result.start_order())
 
     def test_h264dec_runs_correctly_through_picos(self):
         program = build_benchmark("h264dec", 8, problem_size=2)
-        result = simulate_program(program, num_workers=8, backend="hil-full")
+        result = simulate_request(
+            SimulationRequest.for_program(program, num_workers=8, backend="hil-full")
+        )
         assert result.completed_all()
         assert ready_order_is_valid(program, result.start_order())
 
     def test_all_three_simulators_agree_on_dependence_constraints(self, cholesky_medium):
         graph = build_task_graph(cholesky_medium)
-        picos = simulate_program(cholesky_medium, num_workers=6, backend="hil-hw")
+        picos = simulate_request(
+            SimulationRequest.for_program(cholesky_medium, num_workers=6, backend="hil-hw")
+        )
         perfect = PerfectScheduler(cholesky_medium, num_workers=6).run()
         nanos = NanosRuntimeSimulator(cholesky_medium, num_threads=6).run()
         for result in (picos, perfect, nanos):
@@ -66,8 +72,10 @@ class TestPaperQualitativeClaims:
         """Figure 11: the prototype reaches nearly the Perfect-Simulator
         speedup for medium block sizes."""
         for workers in (4, 8):
-            picos = simulate_program(
-                cholesky_medium, num_workers=workers, backend="hil-full"
+            picos = simulate_request(
+                SimulationRequest.for_program(
+                    cholesky_medium, num_workers=workers, backend="hil-full"
+                )
             ).speedup
             perfect = PerfectScheduler(cholesky_medium, num_workers=workers).run().speedup
             assert picos >= 0.85 * perfect
@@ -75,7 +83,9 @@ class TestPaperQualitativeClaims:
     def test_picos_beats_nanos_for_fine_granularity(self, heat_fine):
         """Figure 11a: for fine-grained Heat the prototype clearly
         outperforms the software-only runtime."""
-        picos = simulate_program(heat_fine, num_workers=8, backend="hil-full").speedup
+        picos = simulate_request(
+            SimulationRequest.for_program(heat_fine, num_workers=8, backend="hil-full")
+        ).speedup
         nanos = NanosRuntimeSimulator(heat_fine, num_threads=8).run().speedup
         assert picos > 1.5 * nanos
 
@@ -84,7 +94,9 @@ class TestPaperQualitativeClaims:
         keeps improving with more workers."""
         worker_counts = (4, 8, 16)
         picos = [
-            simulate_program(heat_fine, num_workers=w, backend="hil-full").speedup
+            simulate_request(
+                SimulationRequest.for_program(heat_fine, num_workers=w, backend="hil-full")
+            ).speedup
             for w in worker_counts
         ]
         nanos = [
@@ -104,8 +116,12 @@ class TestPaperQualitativeClaims:
             / NanosRuntimeSimulator(coarse, 8).run().speedup
         )
         picos_drop = (
-            simulate_program(fine, num_workers=8, backend="hil-full").speedup
-            / simulate_program(coarse, num_workers=8, backend="hil-full").speedup
+            simulate_request(
+                SimulationRequest.for_program(fine, num_workers=8, backend="hil-full")
+            ).speedup
+            / simulate_request(
+                SimulationRequest.for_program(coarse, num_workers=8, backend="hil-full")
+            ).speedup
         )
         assert nanos_drop < 0.5
         assert picos_drop > nanos_drop

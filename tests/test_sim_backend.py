@@ -20,8 +20,9 @@ from repro.sim.backend import (
     register_backend,
     unregister_backend,
 )
-from repro.sim.driver import resolve_backend_name, simulate_program
+from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
+from repro.sim.request import SimulationRequest
 from repro.sim.results import SimulationResult
 
 
@@ -92,12 +93,6 @@ class TestRegistry:
 
 
 class TestDispatch:
-    def test_resolve_backend_name(self):
-        assert resolve_backend_name() == "hil-full"
-        assert resolve_backend_name(mode=HILMode.HW_ONLY) == "hil-hw"
-        assert resolve_backend_name(mode=HILMode.HW_COMM) == "hil-comm"
-        assert resolve_backend_name("perfect", HILMode.HW_ONLY) == "perfect"
-
     def test_mode_backend_name_round_trip(self):
         for mode in HILMode:
             assert HILMode.from_backend_name(mode.backend_name) is mode
@@ -106,14 +101,18 @@ class TestDispatch:
 
     def test_each_builtin_backend_dispatches_by_name(self, diamond_program):
         for name in BUILTIN_BACKENDS:
-            result = simulate_program(diamond_program, num_workers=2, backend=name)
+            result = simulate_request(
+                SimulationRequest.for_program(diamond_program, num_workers=2, backend=name)
+            )
             assert result.completed_all()
             assert result.num_tasks == diamond_program.num_tasks
 
     def test_hil_dispatch_matches_direct_simulator(self, diamond_program):
         for mode in HILMode:
-            via_backend = simulate_program(
-                diamond_program, num_workers=3, backend=mode.backend_name
+            via_backend = simulate_request(
+                SimulationRequest.for_program(
+                    diamond_program, num_workers=3, backend=mode.backend_name
+                )
             )
             direct = HILSimulator(
                 diamond_program, mode=mode, num_workers=3
@@ -122,35 +121,31 @@ class TestDispatch:
             assert via_backend.simulator == direct.simulator
             assert via_backend.counters == direct.counters
 
-    def test_mode_keyword_still_selects_hil_backends(self, diamond_program):
-        for mode in HILMode:
-            with pytest.warns(DeprecationWarning, match="mode=HILMode"):
-                via_mode = simulate_program(diamond_program, num_workers=2, mode=mode)
-            via_name = simulate_program(
-                diamond_program, num_workers=2, backend=mode.backend_name
-            )
-            assert via_mode.makespan == via_name.makespan
-            assert via_mode.simulator == f"picos-{mode.value}"
-
     def test_nanos_dispatch_matches_direct_simulator(self, diamond_program):
-        via_backend = simulate_program(diamond_program, num_workers=4, backend="nanos")
+        via_backend = simulate_request(
+            SimulationRequest.for_program(diamond_program, num_workers=4, backend="nanos")
+        )
         direct = NanosRuntimeSimulator(diamond_program, num_threads=4).run()
         assert via_backend.makespan == direct.makespan
         assert via_backend.simulator == "nanos-software"
 
     def test_perfect_dispatch_matches_direct_simulator(self, diamond_program):
-        via_backend = simulate_program(diamond_program, num_workers=4, backend="perfect")
+        via_backend = simulate_request(
+            SimulationRequest.for_program(diamond_program, num_workers=4, backend="perfect")
+        )
         direct = PerfectScheduler(diamond_program, num_workers=4).run()
         assert via_backend.makespan == direct.makespan
         assert via_backend.simulator == "perfect"
 
     def test_dm_design_and_policy_reach_the_hil_backend(self, diamond_program):
-        result = simulate_program(
-            diamond_program,
-            num_workers=2,
-            backend="hil-hw",
-            dm_design=DMDesign.WAY16,
-            policy=SchedulingPolicy.LIFO,
+        result = simulate_request(
+            SimulationRequest.for_program(
+                diamond_program,
+                num_workers=2,
+                backend="hil-hw",
+                dm_design=DMDesign.WAY16,
+                policy=SchedulingPolicy.LIFO,
+            )
         )
         direct = HILSimulator(
             diamond_program,
@@ -183,7 +178,9 @@ class TestCustomBackend:
         register_backend(InstantBackend())
         try:
             assert "instant" in backend_names()
-            result = simulate_program(diamond_program, num_workers=7, backend="instant")
+            result = simulate_request(
+                SimulationRequest.for_program(diamond_program, num_workers=7, backend="instant")
+            )
             assert result.simulator == "instant"
             assert result.makespan == 1
             assert result.num_workers == 7
@@ -210,7 +207,9 @@ class TestCustomBackend:
 
         register_backend(FakePerfect(), replace=True)
         try:
-            result = simulate_program(diamond_program, backend="perfect")
+            result = simulate_request(
+                SimulationRequest.for_program(diamond_program, backend="perfect")
+            )
             assert result.simulator == "fake-perfect"
         finally:
             register_backend(original, replace=True)

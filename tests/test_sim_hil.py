@@ -8,7 +8,7 @@ from repro.core.config import DMDesign, PicosConfig
 from repro.core.scheduler import SchedulingPolicy
 from repro.runtime.dependence_analysis import build_task_graph, ready_order_is_valid
 from repro.runtime.task import Direction, TaskProgram
-from repro.sim.driver import simulate_program, simulate_request, speedup_curve
+from repro.sim.driver import simulate_request
 from repro.sim.hil import HILMode, HILSimulator
 from repro.sim.request import SimulationRequest
 from repro.traces.synthetic import synthetic_case
@@ -150,13 +150,15 @@ class TestModesAndCosts:
             )
             for workers in (1, 2, 4, 8)
         }
-        speedups = speedup_curve(results)
+        speedups = [results[workers].speedup for workers in sorted(results)]
         assert all(b >= a * 0.999 for a, b in zip(speedups, speedups[1:]))
 
     def test_speedup_bounded_by_worker_count(self):
         program = independent_program(count=64, duration=5000)
         for workers in (1, 2, 4):
-            result = simulate_program(program, num_workers=workers, backend="hil-hw")
+            result = simulate_request(
+                SimulationRequest.for_program(program, num_workers=workers, backend="hil-hw")
+            )
             assert result.speedup <= workers + 1e-9
 
 
