@@ -3,46 +3,48 @@
 The checkpoint/restore codec (``sim/snapshot.py``) promises bit-exact
 resume: every mutable field of the hot-path state classes must be encoded
 into (and decoded out of) the snapshot document.  The classes in question
-are plain ``__slots__`` records, which makes the contract mechanically
-checkable: a field added to a ``__slots__`` tuple that the codec never
-mentions is a field the snapshot silently drops -- the restored run would
-start from a subtly wrong state and the differential net would only catch
-it on an input that happens to exercise that field at the cut cycle.
+declare their fields statically, which makes the contract mechanically
+checkable: a field the codec never mentions is a field the snapshot
+silently drops -- the restored run would start from a subtly wrong state
+and the differential net would only catch it on an input that happens to
+exercise that field at the cut cycle.
 
 The rule cross-checks, per inventoried class (:data:`SNAPSHOT_INVENTORY`):
 
-* the class's ``__slots__`` names are extracted from its module's AST;
+* the class's fields are its ``__slots__`` names or, without
+  ``__slots__``, every ``self.<name>`` its ``__init__`` assigns;
 * the codec module's AST is scanned for every name it mentions --
   attribute accesses, keyword arguments, string literals (document keys);
-* a slot is *covered* when the codec mentions it directly, **or** when the
-  codec calls a method of the class (by name) whose body touches the slot
-  via ``self.<slot>`` -- that is how the codec delegates the event queue's
+* a field is *covered* when the codec mentions it directly, **or** when the
+  codec calls a method of the class (by name) whose body touches the field
+  via ``self.<field>`` -- that is how the codec delegates the event queue's
   internals to ``snapshot_events``/``restore_events`` without reaching
   into them;
-* an uncovered, non-exempt slot is a finding, as is an inventoried module
+* an uncovered, non-exempt field is a finding, as is an inventoried module
   or class that no longer exists (the inventory itself must track
   refactors).
 
-Exemptions are per-slot and deliberate: a field may be skipped only when
-it is construction-fixed identity the restore target rebuilds on its own
+Exemptions are per-field and deliberate: a field may be skipped only when
+it is fixed at construction and the restore target rebuilds it on its own
 (e.g. ``WorkerState.worker_id``, minted in pool order by ``WorkerPool``'s
-constructor).  When the codec module itself is absent the rule is silent:
+constructor, or ``DependenceMemory._index_of``, derived from the DM
+design).  When the codec module itself is absent the rule is silent:
 partial-tree lints (single-directory invocations) cannot judge coverage.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.framework import Finding, Project, Rule, register_rule
 
 #: Package-relative key of the snapshot codec module.
 SNAPSHOT_CODEC_MODULE = "sim/snapshot.py"
 
-#: ``(module key, class name, exempt slots)`` -- every ``__slots__`` field
-#: of these classes must be covered by the codec.  Exemptions name
-#: construction-fixed identity fields the restore path re-mints itself.
+#: ``(module key, class name, exempt fields)`` -- every field of these
+#: classes must be covered by the codec.  Exemptions name fields fixed at
+#: construction that the restore target rebuilds itself.
 SNAPSHOT_INVENTORY: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
     ("sim/engine.py", "Event", frozenset()),
     ("sim/engine.py", "EventQueue", frozenset()),
@@ -51,6 +53,14 @@ SNAPSHOT_INVENTORY: Tuple[Tuple[str, str, FrozenSet[str]], ...] = (
     ("sim/worker.py", "WorkerState", frozenset({"worker_id"})),
     ("sim/worker.py", "WorkerPool", frozenset()),
     ("core/gateway.py", "PendingSubmission", frozenset()),
+    # The flat datapath's memories and controllers (fields from __init__).
+    ("core/task_memory.py", "TaskMemory", frozenset()),
+    # design and _index_of (the set-index function) follow the config.
+    ("core/dependence_memory.py", "DependenceMemory", frozenset({"design", "_index_of"})),
+    ("core/version_memory.py", "VersionMemory", frozenset()),
+    ("core/dct.py", "DependenceChainTracker", frozenset({"dct_id"})),
+    # _single_trs and _max_deps are shortcuts into the construction config.
+    ("core/gateway.py", "Gateway", frozenset({"_single_trs", "_max_deps"})),
     ("core/reference/task_memory.py", "DependenceSlot", frozenset()),
     ("core/reference/task_memory.py", "TaskEntry", frozenset()),
     ("core/reference/dependence_memory.py", "DMWay", frozenset()),
@@ -83,8 +93,12 @@ def _class_def(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
     return None
 
 
-def _slots_of(class_def: ast.ClassDef) -> Tuple[List[str], Optional[int]]:
-    """The class's ``__slots__`` string entries and the assignment line."""
+def _fields_of(class_def: ast.ClassDef) -> List[Tuple[str, int]]:
+    """The class's fields with the line declaring each.
+
+    A ``__slots__`` tuple is authoritative; without one, the fields are
+    the ``self.<name>`` targets assigned in ``__init__``.
+    """
     for statement in class_def.body:
         if not isinstance(statement, ast.Assign):
             continue
@@ -95,18 +109,28 @@ def _slots_of(class_def: ast.ClassDef) -> Tuple[List[str], Optional[int]]:
             continue
         value = statement.value
         if isinstance(value, (ast.Tuple, ast.List)):
-            slots = [
-                element.value
+            return [
+                (element.value, statement.lineno)
                 for element in value.elts
                 if isinstance(element, ast.Constant)
                 and isinstance(element.value, str)
             ]
-            return slots, statement.lineno
-    return [], None
+    fields: Dict[str, int] = {}
+    for statement in class_def.body:
+        if isinstance(statement, ast.FunctionDef) and statement.name == "__init__":
+            for node in ast.walk(statement):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    fields.setdefault(node.attr, node.lineno)
+    return list(fields.items())
 
 
 def _delegated_fields(class_def: ast.ClassDef, mentioned: Set[str]) -> Set[str]:
-    """Slots covered through methods the codec calls by name.
+    """Fields covered through methods the codec calls by name.
 
     For every method of the class whose *name* the codec mentions (e.g.
     ``snapshot_events``), every ``self.<field>`` its body touches counts as
@@ -129,10 +153,10 @@ def _delegated_fields(class_def: ast.ClassDef, mentioned: Set[str]) -> Set[str]:
 
 
 class SnapshotPurityRule(Rule):
-    """SNP001: every hot-path ``__slots__`` field is snapshot-covered."""
+    """SNP001: every field of the inventoried state classes is snapshot-covered."""
 
     id = "SNP001"
-    summary = "every inventoried __slots__ field must appear in the snapshot codec"
+    summary = "every inventoried state-class field must appear in the snapshot codec"
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         codec = project.get(SNAPSHOT_CODEC_MODULE)
@@ -153,23 +177,23 @@ class SnapshotPurityRule(Rule):
                     f"in {key}; update SNAPSHOT_INVENTORY to match the refactor",
                 )
                 continue
-            slots, line = _slots_of(class_def)
-            if line is None:
+            fields = _fields_of(class_def)
+            if not fields:
                 yield module.finding(
                     self.id,
                     class_def,
                     f"snapshot-inventoried class {class_name} declares no "
-                    "__slots__ tuple the rule can read",
+                    "__slots__ tuple or __init__ fields the rule can read",
                 )
                 continue
             delegated = _delegated_fields(class_def, mentioned)
-            for slot in slots:
-                if slot in exempt or slot in mentioned or slot in delegated:
+            for field, line in fields:
+                if field in exempt or field in mentioned or field in delegated:
                     continue
                 yield module.finding(
                     self.id,
                     line,
-                    f"{class_name}.{slot} is mutable simulator state the "
+                    f"{class_name}.{field} is mutable simulator state the "
                     f"snapshot codec ({SNAPSHOT_CODEC_MODULE}) never mentions; "
                     "a restored run would silently drop it",
                 )

@@ -6,70 +6,53 @@ software-runtime) state and the session's delivery counters -- into plain
 JSON-safe primitives, so that :func:`restore` can rebuild a session that
 continues *bit-exactly* where the captured one stood: same makespan, same
 per-task timelines, same hardware counters, same lifecycle-event stream.
-The differential net in ``tests/test_snapshot.py`` and
-``tests/test_differential.py`` pins this for every backend, at every event
-boundary, under both the flat and the reference datapath.
+``docs/snapshots.md`` describes the contract and the tests that pin it.
 
-Three snapshot kinds cover a session's lifecycle:
-
-``initial``
-    Taken before the first :meth:`~repro.sim.session.SimulationSession.
-    advance`; only the (fully assembled) request is stored.  Restoring
-    yields a fresh session -- this is also the only kind non-stepper
-    backends (the perfect scheduler) can produce mid-lifecycle.
-``mid-run``
-    Taken between ``advance`` slices at the stepper's cycle horizon; the
-    complete mutable simulator state travels in the ``state`` document.
-``finished``
-    Taken after the run completed; the full result document is stored and
-    restoring yields a finished session serving it.
-
-Copy-on-capture
----------------
-
-:func:`capture` encodes every piece of mutable state into fresh lists and
-dictionaries *at capture time* -- a snapshot never aliases live simulator
-state, so closing (or further advancing) the captured session cannot
-invalidate it.  The regression tests in ``tests/test_sim_session_slicing.py``
-pin this.
+Three snapshot kinds cover a session's lifecycle: ``initial`` (before the
+first ``advance``; only the request is stored -- the only kind non-stepper
+backends produce before they finish), ``mid-run`` (between ``advance``
+slices; the complete mutable simulator state travels in the ``state``
+document) and ``finished`` (the full result document).  :func:`capture`
+copies every piece of state into fresh lists and dictionaries, so a
+snapshot never aliases the live session.
 
 Canonical state schema
 ----------------------
 
-The flat integer-handle datapath and the object-based reference datapath
-(`core/reference/`) encode to the *same* canonical document: ``-1``
-sentinels for absent handles, packed slot handles (``trs_id * per_trs +
-tm_index * stride + dep_index``) for slot references, and invalid entries
-normalised to their post-allocation reset values (which every allocation
-path overwrites before reading, so canonicalisation is invisible to the
-simulation).  That makes a snapshot datapath-neutral: a run captured under
-``REPRO_REFERENCE_DATAPATH=1`` restores onto the flat datapath and vice
-versa, which is how the differential suite cross-checks the two.
-
-The VM's cached ``_dm_handle`` back-links are deliberately **excluded**
-from the schema and recomputed on restore via ``dm.lookup(address)`` --
-they are a pure cache of the DM's content, and recomputing them is what
-lets a fork re-home live versions into a *wider* DM.
+The paper's three Picos memories -- the TRS Task Memory (TM0/TMX) and the
+DCT's Dependence and Version Memories (DM/VM) -- are encoded through one
+schema table each (``_TM0_SCHEMA``, ``_TMX_SCHEMA``, ``_DM_SCHEMA``,
+``_VM_SCHEMA``).  A row names the document key, the flat datapath's array,
+the reference record's attribute, the reset value of invalid entries and
+the handle kind; one gather and one scatter routine serve every memory on
+both the flat integer-handle datapath and the object-based reference
+oracle (``core/reference/``).  Both therefore encode to the *same*
+document: ``-1`` for absent handles, packed slot handles (``trs_id *
+per_trs + tm_index * stride + dep_index``) for slot references, and
+invalid entries at their reset values (every allocation path overwrites
+them before reading, so this is invisible to the simulation).  A run
+captured under ``REPRO_REFERENCE_DATAPATH=1`` restores onto the flat
+datapath and vice versa.  The VM's ``_dm_handle`` back-links are not
+stored: they cache the DM's content and are recomputed on restore, which
+is what lets a fork re-home live versions into a *wider* DM.
 
 What-if forks
 -------------
 
-``restore(snapshot, config=...)`` (or the :func:`fork` convenience) resumes
-a mid-run snapshot under a modified :class:`~repro.core.config.PicosConfig`
--- "what if the DM had twice the ways from this point on?".  Latency knobs
-may change freely; structural geometry must stay compatible: the TM/VM/DM
-set geometry is fixed, the DM hash function must not change, and the DM may
-only widen (live ways are re-homed per set, and the VM free list is
-extended with the new entries behind the surviving ones).
+``restore(snapshot, config=...)`` (or :func:`fork`) resumes a mid-run
+snapshot under a modified :class:`~repro.core.config.PicosConfig`.
+Latency knobs may change freely; the TM/VM/DM set geometry and the DM hash
+function must not, and the DM may only widen (live ways keep their set and
+way index, and the VM free list grows behind the surviving entries).
 
 On-disk format
 --------------
 
-:func:`save_snapshot` writes the snapshot's document as one JSON object
-keyed by a :func:`~repro.core.hashing.stable_digest` over its canonical
+:func:`save_snapshot` writes the document as one JSON object keyed by a
+:func:`~repro.core.hashing.stable_digest` over its canonical
 serialisation; :func:`load_snapshot` verifies the format version and the
-digest before handing the snapshot back, so silent corruption (or a schema
-drift without a version bump) fails loudly instead of replaying garbage.
+digest, so corruption (or a schema drift without a version bump) fails
+loudly instead of replaying garbage.
 """
 
 from __future__ import annotations
@@ -77,8 +60,9 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections import deque
+from itertools import compress
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.config import PicosConfig
 from repro.core.dct import StallReason
@@ -276,91 +260,209 @@ def _restore_stats(stats: PicosStats, document: Dict[str, Any]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Task Memory codec (TM0 + TMX, canonical across datapaths)
+# Picos memory codec: TM0/TMX, DM and VM, one schema table each
 # ----------------------------------------------------------------------
-def _empty_tm_document(entries: int, stride: int) -> Dict[str, Any]:
-    """The canonical all-invalid TM document (post-reset field values)."""
-    total = entries * stride
-    return {
-        "entries": entries,
-        "stride": stride,
-        "valid": [False] * entries,
-        "task_id": [-1] * entries,
-        "num_deps": [0] * entries,
-        "ready_deps": [0] * entries,
-        "dep_count": [0] * entries,
-        "slot_address": [0] * total,
-        "slot_vm_index": [-1] * total,
-        "slot_ready": [False] * total,
-        "slot_predecessor": [-1] * total,
-        "slot_is_producer": [False] * total,
-        "free": [],
-        "high_water": 0,
-    }
+# How a field's value crosses the datapath boundary.  The flat arrays
+# already hold the canonical integers; a reference record holds ``None``
+# for an absent handle and a TaskSlotRef for a slot reference.
+_PLAIN = "plain"
+#: ``Optional[int]``, ``None`` encoded as ``-1``.
+_OPTIONAL = "optional"
+#: ``Optional[TaskSlotRef]``, packed by the adapter's slot codec.
+_SLOT = "slot"
+
+
+class _Field(NamedTuple):
+    """One row of a memory's schema table."""
+
+    #: Document key of the column.
+    key: str
+    #: Parallel array attribute on the flat datapath.
+    flat: str
+    #: Record attribute (and constructor keyword) on the reference datapath.
+    ref: str
+    #: The value an invalid entry encodes as.
+    reset: Any
+    #: How the value crosses the datapath boundary.
+    handle: str = _PLAIN
+
+
+_Schema = Tuple[_Field, ...]
+
+# Each memory's entries are addressed by one flat offset: the TM index
+# (TM0), ``tm_index * stride + dep_index`` (TMX), the way handle ``set *
+# ways + way`` (DM) and the VM index (VM).  Which entries are live is the
+# memory's shape, not a field: it travels as the ``valid`` column (and,
+# for the TMX, as the per-entry ``dep_count``).
+_TM0_SCHEMA = (
+    _Field("task_id", "_task_id", "task_id", -1),
+    _Field("num_deps", "_num_deps", "num_deps", 0),
+    _Field("ready_deps", "_ready_deps", "ready_deps", 0),
+)
+_TMX_SCHEMA = (
+    _Field("slot_address", "_slot_address", "address", 0),
+    _Field("slot_vm_index", "_slot_vm_index", "vm_index", -1, _OPTIONAL),
+    _Field("slot_ready", "_slot_ready", "ready", False),
+    _Field("slot_predecessor", "_slot_predecessor", "predecessor", -1, _SLOT),
+    _Field("slot_is_producer", "_slot_is_producer", "is_producer", False),
+)
+_DM_SCHEMA = (
+    _Field("input_only", "_input_only", "input_only", True),
+    _Field("tag", "_tag", "tag", -1),
+    _Field("latest", "_latest_vm_index", "latest_vm_index", -1, _OPTIONAL),
+    _Field("live", "_live_versions", "live_versions", 0),
+    _Field("access", "_access_count", "access_count", 0),
+)
+_VM_SCHEMA = (
+    _Field("address", "_address", "address", 0),
+    _Field("producer", "_producer", "producer", -1, _SLOT),
+    _Field("producer_finished", "_producer_finished", "producer_finished", False),
+    _Field("last_consumer", "_last_consumer", "last_consumer", -1, _SLOT),
+    _Field("consumers_arrived", "_consumers_arrived", "consumers_arrived", 0),
+    _Field("consumers_finished", "_consumers_finished", "consumers_finished", 0),
+    _Field("next_version", "_next_version", "next_version", -1, _OPTIONAL),
+)
+#: Scalar state, by attribute name on both datapaths; the document key
+#: drops the leading underscore.
+_TM_SCALARS = ("_high_water",)
+_DM_SCALARS = ("conflicts", "allocations", "_occupied", "_high_water")
+_VM_SCALARS = ("_high_water", "_total_allocations")
+
+
+def _encode(value: Any, handle: str, codec: Any) -> Any:
+    """A reference record's field value as its canonical integer."""
+    if handle == _PLAIN:
+        return value
+    if value is None:
+        return -1
+    return codec.encode(value) if handle == _SLOT else value
+
+
+def _decode(value: Any, handle: str, codec: Any) -> Any:
+    """A canonical integer as a reference record's field value."""
+    if handle == _PLAIN:
+        return value
+    if value < 0:
+        return None
+    return codec.decode(value) if handle == _SLOT else value
+
+
+def _gather(
+    schema: _Schema,
+    total: int,
+    offsets: List[int],
+    records: List[Any],
+    memory: Any,
+    codec: Any,
+) -> Dict[str, Any]:
+    """One memory's canonical columns, invalid entries at their reset values.
+
+    ``offsets`` lists every valid entry.  On the flat datapath (``codec``
+    is ``None``) the values come from ``memory``'s arrays; on the reference
+    datapath from the attributes of the entry's record in ``records``.
+    """
+    columns: Dict[str, Any] = {}
+    for field in schema:
+        column = [field.reset] * total
+        if codec is None:
+            values = getattr(memory, field.flat)
+            for offset in offsets:
+                column[offset] = values[offset]
+        else:
+            for offset, record in zip(offsets, records):
+                column[offset] = _encode(getattr(record, field.ref), field.handle, codec)
+        columns[field.key] = column
+    return columns
+
+
+def _scatter(
+    schema: _Schema,
+    document: Dict[str, Any],
+    sources: List[int],
+    targets: List[int],
+    total: int,
+    memory: Any,
+    codec: Any,
+) -> List[Tuple[int, Dict[str, Any]]]:
+    """Decode one memory's live entries into a ``total``-entry target.
+
+    The live entry at ``sources[i]`` of the document moves to offset
+    ``targets[i]`` of the target (they differ when a fork widens the DM).
+    On the flat datapath every schema array of ``memory`` is rewritten in
+    place and nothing is returned; on the reference datapath the decoded
+    fields come back as ``(target offset, record keywords)`` pairs to build
+    records from.
+    """
+    if codec is None:
+        for field in schema:
+            values = document[field.key]
+            array = getattr(memory, field.flat)
+            if sources == targets:
+                # Captured columns are canonical already: copy them whole
+                # (a grown VM pads its new entries with the reset value).
+                array[:] = values
+                array.extend([field.reset] * (total - len(values)))
+            else:
+                array[:] = [field.reset] * total
+                for source, target in zip(sources, targets):
+                    array[target] = values[source]
+        return []
+    return [
+        (target, {f.ref: _decode(document[f.key][source], f.handle, codec) for f in schema})
+        for source, target in zip(sources, targets)
+    ]
+
+
+def _live(column: List[Any]) -> Tuple[List[int], List[Any]]:
+    """Offsets and records of the live entries of a ``_valid`` array (flat)
+    or of a record list holding ``None`` for invalid entries (reference)."""
+    offsets = list(compress(range(len(column)), column))
+    return offsets, list(map(column.__getitem__, offsets))
+
+
+def _mask(total: int, offsets: Iterable[int]) -> List[bool]:
+    """A ``valid`` column: ``True`` exactly at ``offsets``."""
+    mask = [False] * total
+    for offset in offsets:
+        mask[offset] = True
+    return mask
+
+
+def _scalars(memory: Any, names: Tuple[str, ...]) -> Dict[str, Any]:
+    return {name.lstrip("_"): getattr(memory, name) for name in names}
+
+
+def _restore_scalars(memory: Any, names: Tuple[str, ...], document: Dict[str, Any]) -> None:
+    for name in names:
+        setattr(memory, name, document[name.lstrip("_")])
 
 
 def _tm_document(trs: Any) -> Dict[str, Any]:
-    inner = getattr(trs, "_inner", None)
-    if inner is None:
-        return _tm_document_flat(trs.task_memory)
-    return _tm_document_reference(inner.task_memory, trs._codec)
-
-
-def _tm_document_flat(tm: Any) -> Dict[str, Any]:
+    tm = trs.task_memory
+    codec = getattr(trs, "_codec", None)
     stride = tm.max_deps_per_task
-    document = _empty_tm_document(tm.entries, stride)
-    for index in range(tm.entries):
-        if not tm._valid[index]:
-            continue
-        document["valid"][index] = True
-        document["task_id"][index] = tm._task_id[index]
-        document["num_deps"][index] = tm._num_deps[index]
-        document["ready_deps"][index] = tm._ready_deps[index]
-        count = tm._dep_count[index]
-        document["dep_count"][index] = count
-        base = index * stride
-        for dep in range(count):
-            offset = base + dep
-            document["slot_address"][offset] = tm._slot_address[offset]
-            document["slot_vm_index"][offset] = tm._slot_vm_index[offset]
-            document["slot_ready"][offset] = tm._slot_ready[offset]
-            document["slot_predecessor"][offset] = tm._slot_predecessor[offset]
-            document["slot_is_producer"][offset] = tm._slot_is_producer[offset]
-    document["free"] = list(tm._free)
-    document["high_water"] = tm._high_water
-    return document
-
-
-def _tm_document_reference(tm: Any, codec: Any) -> Dict[str, Any]:
-    stride = tm.max_deps_per_task
-    document = _empty_tm_document(tm.entries, stride)
-    for index, entry in enumerate(tm._slots):
-        if entry is None:
-            continue
-        document["valid"][index] = True
-        document["task_id"][index] = entry.task_id
-        document["num_deps"][index] = entry.num_deps
-        document["ready_deps"][index] = entry.ready_deps
-        document["dep_count"][index] = len(entry.dep_slots)
-        base = index * stride
-        for dep, slot in enumerate(entry.dep_slots):
-            offset = base + dep
-            document["slot_address"][offset] = slot.address
-            document["slot_vm_index"][offset] = (
-                -1 if slot.vm_index is None else slot.vm_index
-            )
-            document["slot_ready"][offset] = slot.ready
-            document["slot_predecessor"][offset] = (
-                -1 if slot.predecessor is None else codec.encode(slot.predecessor)
-            )
-            document["slot_is_producer"][offset] = slot.is_producer
-    document["free"] = list(tm._free)
-    document["high_water"] = tm._high_water
-    return document
+    entries, records = _live(tm._valid if codec is None else tm._slots)
+    # The TMX slots of an entry are its first ``dep_count`` ones.
+    dep_count = [0] * tm.entries
+    slots: List[int] = []
+    for index, entry in zip(entries, records):
+        count = tm._dep_count[index] if codec is None else len(entry.dep_slots)
+        dep_count[index] = count
+        slots.extend(range(index * stride, index * stride + count))
+    slot_records = [slot for entry in records for slot in entry.dep_slots] if codec else []
+    return {
+        "entries": tm.entries,
+        "stride": stride,
+        "valid": _mask(tm.entries, entries),
+        **_gather(_TM0_SCHEMA, tm.entries, entries, records, tm, codec),
+        "dep_count": dep_count,
+        **_gather(_TMX_SCHEMA, tm.entries * stride, slots, slot_records, tm, codec),
+        "free": list(tm._free),
+        **_scalars(tm, _TM_SCALARS),
+    }
 
 
 def _restore_tm(trs: Any, document: Dict[str, Any]) -> None:
-    inner = getattr(trs, "_inner", None)
     tm = trs.task_memory
     if tm.entries != document["entries"] or tm.max_deps_per_task != document["stride"]:
         raise SnapshotError(
@@ -368,121 +470,50 @@ def _restore_tm(trs: Any, document: Dict[str, Any]) -> None:
             f"{document['entries']}x{document['stride']} slots, the restore "
             f"target has {tm.entries}x{tm.max_deps_per_task}"
         )
-    if inner is None:
-        _restore_tm_flat(tm, document)
-    else:
-        _restore_tm_reference(inner.task_memory, document, trs.trs_id, trs._codec)
-
-
-def _restore_tm_flat(tm: Any, document: Dict[str, Any]) -> None:
-    tm._valid[:] = list(document["valid"])
-    tm._task_id[:] = list(document["task_id"])
-    tm._num_deps[:] = list(document["num_deps"])
-    tm._ready_deps[:] = list(document["ready_deps"])
-    tm._dep_count[:] = list(document["dep_count"])
-    tm._slot_address[:] = list(document["slot_address"])
-    tm._slot_vm_index[:] = list(document["slot_vm_index"])
-    tm._slot_ready[:] = list(document["slot_ready"])
-    tm._slot_predecessor[:] = list(document["slot_predecessor"])
-    tm._slot_is_producer[:] = list(document["slot_is_producer"])
-    tm._free[:] = list(document["free"])
-    tm._by_task_id = {
-        document["task_id"][index]: index
-        for index in range(tm.entries)
-        if document["valid"][index]
-    }
-    tm._high_water = document["high_water"]
-
-
-def _restore_tm_reference(
-    tm: Any, document: Dict[str, Any], trs_id: int, codec: Any
-) -> None:
+    codec = getattr(trs, "_codec", None)
     stride = tm.max_deps_per_task
-    slots: List[Optional[TaskEntry]] = [None] * tm.entries
-    for index in range(tm.entries):
-        if not document["valid"][index]:
-            continue
-        entry = TaskEntry(
-            tm_index=index,
-            task_id=document["task_id"][index],
-            num_deps=document["num_deps"][index],
-            ready_deps=document["ready_deps"][index],
-        )
-        base = index * stride
-        for dep in range(document["dep_count"][index]):
-            offset = base + dep
-            vm_index = document["slot_vm_index"][offset]
-            predecessor = document["slot_predecessor"][offset]
-            slot = DependenceSlot(
-                dep_index=dep,
-                address=document["slot_address"][offset],
-                vm_index=None if vm_index < 0 else vm_index,
-                ready=document["slot_ready"][offset],
-                predecessor=None if predecessor < 0 else codec.decode(predecessor),
-                is_producer=document["slot_is_producer"][offset],
-            )
-            slot.slot_ref = TaskSlotRef(trs_id=trs_id, tm_index=index, dep_index=dep)
-            entry.dep_slots.append(slot)
-        slots[index] = entry
-    tm._slots = slots
-    tm._free[:] = list(document["free"])
-    tm._by_task_id = {
-        document["task_id"][index]: index
-        for index in range(tm.entries)
-        if document["valid"][index]
-    }
-    tm._high_water = document["high_water"]
-
-
-# ----------------------------------------------------------------------
-# Dependence Memory codec
-# ----------------------------------------------------------------------
-def _dm_document(dm: Any) -> Dict[str, Any]:
-    num_sets, ways = dm.num_sets, dm.ways_per_set
-    total = num_sets * ways
-    document: Dict[str, Any] = {
-        "sets": num_sets,
-        "ways": ways,
-        "valid": [False] * total,
-        "input_only": [True] * total,
-        "tag": [-1] * total,
-        "latest": [-1] * total,
-        "live": [0] * total,
-        "access": [0] * total,
-        "conflicts": dm.conflicts,
-        "allocations": dm.allocations,
-        "occupied": dm._occupied,
-        "high_water": dm._high_water,
-    }
-    reference_sets = getattr(dm, "_sets", None)
-    if reference_sets is None:
-        for handle in range(total):
-            if not dm._valid[handle]:
-                continue
-            document["valid"][handle] = True
-            document["input_only"][handle] = dm._input_only[handle]
-            document["tag"][handle] = dm._tag[handle]
-            document["latest"][handle] = dm._latest_vm_index[handle]
-            document["live"][handle] = dm._live_versions[handle]
-            document["access"][handle] = dm._access_count[handle]
+    entries = list(compress(range(tm.entries), document["valid"]))
+    dep_count = document["dep_count"]
+    slots: List[int] = []
+    for index in entries:
+        slots.extend(range(index * stride, index * stride + dep_count[index]))
+    tm0 = _scatter(_TM0_SCHEMA, document, entries, entries, tm.entries, tm, codec)
+    tmx = _scatter(_TMX_SCHEMA, document, slots, slots, tm.entries * stride, tm, codec)
+    if codec is None:
+        tm._valid[:] = _mask(tm.entries, entries)
+        tm._dep_count[:] = dep_count
     else:
-        for set_index, set_ways in enumerate(reference_sets):
-            for way_index, way in enumerate(set_ways):
-                if not way.valid:
-                    continue
-                handle = set_index * ways + way_index
-                document["valid"][handle] = True
-                document["input_only"][handle] = way.input_only
-                document["tag"][handle] = way.tag
-                document["latest"][handle] = (
-                    -1 if way.latest_vm_index is None else way.latest_vm_index
-                )
-                document["live"][handle] = way.live_versions
-                document["access"][handle] = way.access_count
-    return document
+        tm._slots = [None] * tm.entries
+        for index, fields in tm0:
+            tm._slots[index] = TaskEntry(tm_index=index, **fields)
+        for offset, fields in tmx:
+            index, dep = divmod(offset, stride)
+            slot = DependenceSlot(dep_index=dep, **fields)
+            slot.slot_ref = TaskSlotRef(trs_id=trs.trs_id, tm_index=index, dep_index=dep)
+            tm._slots[index].dep_slots.append(slot)
+    tm._free[:] = list(document["free"])
+    tm._by_task_id = {document["task_id"][index]: index for index in entries}
+    _restore_scalars(tm, _TM_SCALARS, document)
 
 
-def _restore_dm(dm: Any, document: Dict[str, Any]) -> None:
+def _dm_document(dm: Any, codec: Any) -> Dict[str, Any]:
+    ways = dm.ways_per_set
+    total = dm.num_sets * ways
+    handles, records = _live(
+        dm._valid
+        if codec is None
+        else [way if way.valid else None for set_ways in dm._sets for way in set_ways]
+    )
+    return {
+        "sets": dm.num_sets,
+        "ways": ways,
+        "valid": _mask(total, handles),
+        **_gather(_DM_SCHEMA, total, handles, records, dm, codec),
+        **_scalars(dm, _DM_SCALARS),
+    }
+
+
+def _restore_dm(dm: Any, document: Dict[str, Any], codec: Any) -> None:
     old_ways = document["ways"]
     new_ways = dm.ways_per_set
     if dm.num_sets != document["sets"]:
@@ -495,103 +526,30 @@ def _restore_dm(dm: Any, document: Dict[str, Any]) -> None:
             f"cannot narrow the DM on restore: snapshot has {old_ways} ways "
             f"per set, the restore target only {new_ways}"
         )
-    reference_sets = getattr(dm, "_sets", None)
-    if reference_sets is None:
-        total = dm.num_sets * new_ways
-        dm._valid[:] = [False] * total
-        dm._input_only[:] = [True] * total
-        dm._tag[:] = [-1] * total
-        dm._latest_vm_index[:] = [-1] * total
-        dm._live_versions[:] = [0] * total
-        dm._access_count[:] = [0] * total
-        for set_index in range(dm.num_sets):
-            for way_index in range(old_ways):
-                source = set_index * old_ways + way_index
-                if not document["valid"][source]:
-                    continue
-                handle = set_index * new_ways + way_index
-                dm._valid[handle] = True
-                dm._input_only[handle] = document["input_only"][source]
-                dm._tag[handle] = document["tag"][source]
-                dm._latest_vm_index[handle] = document["latest"][source]
-                dm._live_versions[handle] = document["live"][source]
-                dm._access_count[handle] = document["access"][source]
+    # A widened DM keeps every live way at its set and way index.
+    sources = list(compress(range(len(document["valid"])), document["valid"]))
+    targets = [handle // old_ways * new_ways + handle % old_ways for handle in sources]
+    total = dm.num_sets * new_ways
+    ways = _scatter(_DM_SCHEMA, document, sources, targets, total, dm, codec)
+    if codec is None:
+        dm._valid[:] = _mask(total, targets)
     else:
-        for set_index in range(dm.num_sets):
-            set_ways = [DMWay() for _ in range(new_ways)]
-            for way_index in range(old_ways):
-                source = set_index * old_ways + way_index
-                if not document["valid"][source]:
-                    continue
-                latest = document["latest"][source]
-                set_ways[way_index] = DMWay(
-                    valid=True,
-                    input_only=document["input_only"][source],
-                    tag=document["tag"][source],
-                    latest_vm_index=None if latest < 0 else latest,
-                    live_versions=document["live"][source],
-                    access_count=document["access"][source],
-                )
-            reference_sets[set_index] = set_ways
-    dm.conflicts = document["conflicts"]
-    dm.allocations = document["allocations"]
-    dm._occupied = document["occupied"]
-    dm._high_water = document["high_water"]
+        dm._sets[:] = [[DMWay() for _ in range(new_ways)] for _ in range(dm.num_sets)]
+        for handle, fields in ways:
+            set_index, way_index = divmod(handle, new_ways)
+            dm._sets[set_index][way_index] = DMWay(valid=True, **fields)
+    _restore_scalars(dm, _DM_SCALARS, document)
 
 
-# ----------------------------------------------------------------------
-# Version Memory codec
-# ----------------------------------------------------------------------
 def _vm_document(vm: Any, codec: Any) -> Dict[str, Any]:
-    entries = vm.entries
-    document: Dict[str, Any] = {
-        "entries": entries,
-        "valid": [False] * entries,
-        "address": [0] * entries,
-        "producer": [-1] * entries,
-        "producer_finished": [False] * entries,
-        "last_consumer": [-1] * entries,
-        "consumers_arrived": [0] * entries,
-        "consumers_finished": [0] * entries,
-        "next_version": [-1] * entries,
+    indices, records = _live(vm._valid if codec is None else vm._slots)
+    return {
+        "entries": vm.entries,
+        "valid": _mask(vm.entries, indices),
+        **_gather(_VM_SCHEMA, vm.entries, indices, records, vm, codec),
         "free": list(vm._free),
-        "high_water": vm._high_water,
-        "total_allocations": vm._total_allocations,
+        **_scalars(vm, _VM_SCALARS),
     }
-    reference_slots = getattr(vm, "_slots", None)
-    if reference_slots is None:
-        for index in range(entries):
-            if not vm._valid[index]:
-                continue
-            document["valid"][index] = True
-            document["address"][index] = vm._address[index]
-            document["producer"][index] = vm._producer[index]
-            document["producer_finished"][index] = vm._producer_finished[index]
-            document["last_consumer"][index] = vm._last_consumer[index]
-            document["consumers_arrived"][index] = vm._consumers_arrived[index]
-            document["consumers_finished"][index] = vm._consumers_finished[index]
-            document["next_version"][index] = vm._next_version[index]
-    else:
-        for index, entry in enumerate(reference_slots):
-            if entry is None:
-                continue
-            document["valid"][index] = True
-            document["address"][index] = entry.address
-            document["producer"][index] = (
-                -1 if entry.producer is None else codec.encode(entry.producer)
-            )
-            document["producer_finished"][index] = entry.producer_finished
-            document["last_consumer"][index] = (
-                -1
-                if entry.last_consumer is None
-                else codec.encode(entry.last_consumer)
-            )
-            document["consumers_arrived"][index] = entry.consumers_arrived
-            document["consumers_finished"][index] = entry.consumers_finished
-            document["next_version"][index] = (
-                -1 if entry.next_version is None else entry.next_version
-            )
-    return document
 
 
 def _restore_vm(vm: Any, document: Dict[str, Any], dm: Any, codec: Any) -> None:
@@ -602,89 +560,46 @@ def _restore_vm(vm: Any, document: Dict[str, Any], dm: Any, codec: Any) -> None:
             f"cannot shrink the VM on restore: snapshot has {old_entries} "
             f"entries, the restore target only {new_entries}"
         )
+    live = list(compress(range(old_entries), document["valid"]))
+    entries = _scatter(_VM_SCHEMA, document, live, live, new_entries, vm, codec)
+    if codec is None:
+        vm._valid[:] = _mask(new_entries, live)
+        # The DM back-link is a cache of the DM's content; recomputing it
+        # (instead of storing it) is what re-homes live versions into a
+        # forked, wider DM.
+        vm._dm_handle[:] = [
+            dm.lookup(vm._address[index]) if vm._valid[index] else -1
+            for index in range(new_entries)
+        ]
+    else:
+        vm._slots = [None] * new_entries
+        for index, fields in entries:
+            vm._slots[index] = VersionEntry(vm_index=index, **fields)
     # A widened VM (DM widening implies a larger effective VM) keeps the
     # captured free list behind the brand-new entries, so recycling order
     # for the surviving entries is untouched and fresh entries hand out in
     # ascending index order, exactly like a cold VM's.
-    if new_entries > old_entries:
-        free = list(range(new_entries - 1, old_entries - 1, -1)) + list(
-            document["free"]
-        )
-    else:
-        free = list(document["free"])
-    reference_slots = getattr(vm, "_slots", None)
-    if reference_slots is None:
-        vm._valid[:] = [False] * new_entries
-        vm._address[:] = [0] * new_entries
-        vm._producer[:] = [-1] * new_entries
-        vm._producer_finished[:] = [False] * new_entries
-        vm._last_consumer[:] = [-1] * new_entries
-        vm._consumers_arrived[:] = [0] * new_entries
-        vm._consumers_finished[:] = [0] * new_entries
-        vm._next_version[:] = [-1] * new_entries
-        vm._dm_handle[:] = [-1] * new_entries
-        for index in range(old_entries):
-            if not document["valid"][index]:
-                continue
-            vm._valid[index] = True
-            vm._address[index] = document["address"][index]
-            vm._producer[index] = document["producer"][index]
-            vm._producer_finished[index] = document["producer_finished"][index]
-            vm._last_consumer[index] = document["last_consumer"][index]
-            vm._consumers_arrived[index] = document["consumers_arrived"][index]
-            vm._consumers_finished[index] = document["consumers_finished"][index]
-            vm._next_version[index] = document["next_version"][index]
-            # The DM back-link is a cache of the DM's content; recomputing
-            # it (instead of storing it) is what re-homes live versions
-            # into a forked, wider DM.
-            vm._dm_handle[index] = dm.lookup(document["address"][index])
-    else:
-        slots: List[Optional[VersionEntry]] = [None] * new_entries
-        for index in range(old_entries):
-            if not document["valid"][index]:
-                continue
-            producer = document["producer"][index]
-            last_consumer = document["last_consumer"][index]
-            next_version = document["next_version"][index]
-            slots[index] = VersionEntry(
-                vm_index=index,
-                address=document["address"][index],
-                producer=None if producer < 0 else codec.decode(producer),
-                producer_finished=document["producer_finished"][index],
-                last_consumer=(
-                    None if last_consumer < 0 else codec.decode(last_consumer)
-                ),
-                consumers_arrived=document["consumers_arrived"][index],
-                consumers_finished=document["consumers_finished"][index],
-                next_version=None if next_version < 0 else next_version,
-            )
-        vm._slots = slots
-    vm._free[:] = free
-    vm._high_water = document["high_water"]
-    vm._total_allocations = document["total_allocations"]
+    vm._free[:] = [*range(new_entries - 1, old_entries - 1, -1), *document["free"]]
+    _restore_scalars(vm, _VM_SCALARS, document)
 
 
 # ----------------------------------------------------------------------
 # DCT, Gateway, accelerator facade
 # ----------------------------------------------------------------------
 def _dct_document(dct: Any) -> Dict[str, Any]:
-    inner = getattr(dct, "_inner", None)
-    target = dct if inner is None else inner
     codec = getattr(dct, "_codec", None)
     return {
-        "dm": _dm_document(target.dm),
-        "vm": _vm_document(target.vm, codec),
-        "blocked": sorted(target._blocked_addresses),
+        "dm": _dm_document(dct.dm, codec),
+        "vm": _vm_document(dct.vm, codec),
+        "blocked": sorted(getattr(dct, "_inner", dct)._blocked_addresses),
     }
 
 
 def _restore_dct(dct: Any, document: Dict[str, Any]) -> None:
-    inner = getattr(dct, "_inner", None)
-    target = dct if inner is None else inner
     codec = getattr(dct, "_codec", None)
-    _restore_dm(target.dm, document["dm"])
-    _restore_vm(target.vm, document["vm"], target.dm, codec)
-    target._blocked_addresses = set(document["blocked"])
+    _restore_dm(dct.dm, document["dm"], codec)
+    _restore_vm(dct.vm, document["vm"], dct.dm, codec)
+    getattr(dct, "_inner", dct)._blocked_addresses = set(document["blocked"])
 
 
 def _gateway_document(gateway: Any) -> Dict[str, Any]:
@@ -828,17 +743,6 @@ def _restore_workers(pool: Any, document: Dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 # simulator codecs
 # ----------------------------------------------------------------------
-def _fault_plan_document(sim: Any, document: Dict[str, Any]) -> Dict[str, Any]:
-    """Attach the armed-fault state under the optional ``faults`` key.
-
-    Unfaulted runs get no key at all.
-    """
-    plan = sim._fault_plan
-    if plan is not None:
-        document["faults"] = plan.snapshot_state()
-    return document
-
-
 def _restore_fault_plan(sim: Any, state: Dict[str, Any]) -> None:
     plan = sim._fault_plan
     document = state.get("faults")
@@ -858,12 +762,7 @@ def _restore_fault_plan(sim: Any, state: Dict[str, Any]) -> None:
 
 
 def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
-    log = sim._lifecycle_log
-    return _fault_plan_document(sim, {
-        "simulator": "hil",
-        "queue": _queue_document(sim.queue),
-        "timelines": _timelines_document(sim._timelines),
-        "log": [] if log is None else [list(entry) for entry in log],
+    return {
         "pending_new": [task.task_id for task in sim._pending_new],
         "new_free_at": sim._picos_new_free_at,
         "finish_free_at": sim._picos_finish_free_at,
@@ -877,16 +776,11 @@ def _hil_state_document(sim: HILSimulator) -> Dict[str, Any]:
         "ready": _scheduler_document(sim.ready),
         "workers": _workers_document(sim.workers),
         "accel": _accel_document(sim.accel),
-    })
+    }
 
 
 def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
     program = sim.program
-    sim._prepared = True
-    _restore_queue(sim.queue, state["queue"], program)
-    sim._timelines = _timelines_from_document(state["timelines"])
-    if sim._lifecycle_log is not None:
-        sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
     sim._pending_new = deque(program.task(task_id) for task_id in state["pending_new"])
     sim._picos_new_free_at = state["new_free_at"]
     sim._picos_finish_free_at = state["finish_free_at"]
@@ -902,16 +796,10 @@ def _restore_hil(sim: HILSimulator, state: Dict[str, Any]) -> None:
     _restore_scheduler(sim.ready, state["ready"])
     _restore_workers(sim.workers, state["workers"])
     _restore_accel(sim.accel, state["accel"], program)
-    _restore_fault_plan(sim, state)
 
 
 def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
-    log = sim._lifecycle_log
-    return _fault_plan_document(sim, {
-        "simulator": "nanos",
-        "queue": _queue_document(sim.queue),
-        "timelines": _timelines_document(sim._timelines),
-        "log": [] if log is None else [list(entry) for entry in log],
+    return {
         "master_joins_at": sim._master_joins_at,
         "idle_workers": list(sim._idle_workers),
         "remaining_preds": [
@@ -924,58 +812,64 @@ def _nanos_state_document(sim: NanosRuntimeSimulator) -> Dict[str, Any]:
         "ready_pool": list(sim._ready_pool),
         "finished": sim._finished,
         "makespan": sim._makespan,
-    })
+    }
 
 
 def _restore_nanos(sim: NanosRuntimeSimulator, state: Dict[str, Any]) -> None:
-    program = sim.program
-    sim._prepared = True
-    _restore_queue(sim.queue, state["queue"], program)
-    sim._timelines = _timelines_from_document(state["timelines"])
-    if sim._lifecycle_log is not None:
-        sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
     sim._master_joins_at = state["master_joins_at"]
     sim._idle_workers = list(state["idle_workers"])
     sim._remaining_preds = {
         task_id: count for task_id, count in state["remaining_preds"]
     }
     submitted = set(state["submitted"])
-    sim._submitted = {task.task_id: task.task_id in submitted for task in program}
+    sim._submitted = {task.task_id: task.task_id in submitted for task in sim.program}
     sim._ready_pool = deque(state["ready_pool"])
     sim._finished = state["finished"]
     sim._makespan = state["makespan"]
-    _restore_fault_plan(sim, state)
 
 
-def _simulator_state_document(sim: Any) -> Dict[str, Any]:
+def _simulator_codec(sim: Any) -> Tuple[str, Any, Any]:
+    """The state label and the capture/restore pair for ``sim``'s type."""
     if isinstance(sim, HILSimulator):
-        return _hil_state_document(sim)
+        return "hil", _hil_state_document, _restore_hil
     if isinstance(sim, NanosRuntimeSimulator):
-        return _nanos_state_document(sim)
+        return "nanos", _nanos_state_document, _restore_nanos
     raise SnapshotError(
         f"no snapshot codec for simulator type {type(sim).__name__}"
     )
 
 
+def _simulator_state_document(sim: Any) -> Dict[str, Any]:
+    label, encode, _ = _simulator_codec(sim)
+    log = sim._lifecycle_log
+    document: Dict[str, Any] = {
+        "simulator": label,
+        "queue": _queue_document(sim.queue),
+        "timelines": _timelines_document(sim._timelines),
+        "log": [] if log is None else [list(entry) for entry in log],
+        **encode(sim),
+    }
+    # Armed-fault state travels under the optional ``faults`` key;
+    # unfaulted runs get no key at all.
+    if sim._fault_plan is not None:
+        document["faults"] = sim._fault_plan.snapshot_state()
+    return document
+
+
 def _restore_simulator_state(sim: Any, state: Dict[str, Any]) -> None:
-    label = state.get("simulator")
-    if isinstance(sim, HILSimulator):
-        expected = "hil"
-    elif isinstance(sim, NanosRuntimeSimulator):
-        expected = "nanos"
-    else:
+    label, _, decode = _simulator_codec(sim)
+    if state.get("simulator") != label:
         raise SnapshotError(
-            f"no snapshot codec for simulator type {type(sim).__name__}"
+            f"snapshot state is for simulator {state.get('simulator')!r}, the "
+            f"restore target runs {label!r}"
         )
-    if label != expected:
-        raise SnapshotError(
-            f"snapshot state is for simulator {label!r}, the restore target "
-            f"runs {expected!r}"
-        )
-    if expected == "hil":
-        _restore_hil(sim, state)
-    else:
-        _restore_nanos(sim, state)
+    sim._prepared = True
+    _restore_queue(sim.queue, state["queue"], sim.program)
+    sim._timelines = _timelines_from_document(state["timelines"])
+    if sim._lifecycle_log is not None:
+        sim._lifecycle_log[:] = [tuple(entry) for entry in state["log"]]
+    decode(sim, state)
+    _restore_fault_plan(sim, state)
 
 
 # ----------------------------------------------------------------------
@@ -1214,10 +1108,6 @@ def restore(
         return session
     session.seal()
     if snapshot.kind == KIND_FINISHED:
-        if config is not None:
-            raise SnapshotError(
-                "cannot fork a finished snapshot: there is nothing left to run"
-            )
         if snapshot.result is None:
             raise SnapshotError("finished snapshot carries no result document")
         session._result = result_from_document(snapshot.result)

@@ -9,6 +9,7 @@ change to the dispatch idiom cannot silently turn the rule into a no-op.
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 from typing import Dict, List
 
@@ -855,6 +856,43 @@ class TestSnapshotPurityRule:
         flagged = snp_findings(findings)
         assert len(flagged) == 1
         assert "WorkerState" in flagged[0].message
+
+    def test_slotless_class_fields_come_from_init(self, tmp_path):
+        # The flat TaskMemory has no __slots__: its fields are the
+        # self.<name> assignments of __init__, each checked against the codec.
+        findings = lint_tree(
+            tmp_path,
+            {
+                "core/task_memory.py": (
+                    "class TaskMemory:\n"
+                    "    def __init__(self, entries):\n"
+                    "        self.entries = entries\n"
+                    "        self._valid: list = [False] * entries\n"
+                    "        self._stall_mask = []\n"
+                    "    def allocate(self):\n"
+                    "        self._scratch = 1\n"
+                ),
+                "sim/snapshot.py": "def encode(tm):\n"
+                "    return {'entries': tm.entries, 'valid': list(tm._valid)}\n",
+            },
+        )
+        flagged = snp_findings(findings)
+        assert [f.message.split()[0] for f in flagged] == ["TaskMemory._stall_mask"]
+        assert flagged[0].line == 5
+
+    def test_new_flat_memory_field_is_flagged_in_the_real_package(self, tmp_path):
+        tree = tmp_path / "repro"
+        shutil.copytree(PACKAGE_ROOT, tree, ignore=shutil.ignore_patterns("__pycache__"))
+        module = tree / "core" / "task_memory.py"
+        source = module.read_text(encoding="utf-8")
+        anchor = "        self._high_water = 0\n"
+        assert anchor in source
+        module.write_text(
+            source.replace(anchor, anchor + "        self._stall_mask = []\n", 1),
+            encoding="utf-8",
+        )
+        flagged = snp_findings(run_lint([tree]))
+        assert [f.message.split()[0] for f in flagged] == ["TaskMemory._stall_mask"]
 
     def test_silent_without_the_codec_module(self, tmp_path):
         # Partial-tree lints (no sim/snapshot.py in view) cannot judge

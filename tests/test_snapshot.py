@@ -8,9 +8,11 @@ lifecycle-event stream are *bit-exact* equal to the uninterrupted run's.
 The suite proves it by sweeping snapshots across every event boundary of a
 small trace, by golden-digest comparison on the paper workloads across all
 five backends, and by restoring across the flat/reference datapath switch
-in both directions.  The CI ``snapshot-determinism`` job replays this file
-a second time with ``REPRO_REFERENCE_DATAPATH=1``, so every assertion here
-holds under both datapaths.
+in both directions.  Golden *document* digests pin the state schema
+itself, and flat and reference captures of one cut must be the same
+document.  The CI ``snapshot-determinism`` job replays this file a second
+time with ``REPRO_REFERENCE_DATAPATH=1``, so every assertion here holds
+under both datapaths.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import pytest
 
 from repro.core.config import DMDesign, PicosConfig
 from repro.core.hashing import stable_digest
+from repro.core.picos import REFERENCE_DATAPATH_ENV
+from repro.faults import parse_fault_spec
 from repro.service.protocol import result_to_document
 from repro.sim.backend import BUILTIN_BACKENDS
 from repro.sim.driver import simulate_request
@@ -48,6 +52,8 @@ SMALL = 512
 ALL_BACKENDS = sorted(BUILTIN_BACKENDS)
 #: Backends with a resumable stepper (mid-run snapshots exist for these).
 STEPPER_BACKENDS = [b for b in ALL_BACKENDS if b != "perfect"]
+#: A fault plan that fires during the first 30k cycles of cholesky.
+_FAULT_SPEC = "delay-event@p=0.5:class=ready:seed=3"
 
 
 def _workload_request(workload, backend, **fields):
@@ -376,6 +382,100 @@ class TestCrossDatapathRestore:
         assert (
             restored.result().counters == baseline.counters
         )
+
+
+class TestCrossDatapathDocuments:
+    """Both datapaths encode the same cut to the same canonical document."""
+
+    @pytest.mark.parametrize(
+        "backend, faults",
+        [
+            ("hil-full", ()),
+            ("hil-comm", ()),
+            ("hil-hw", ()),
+            ("hil-full", (_FAULT_SPEC,)),
+        ],
+    )
+    def test_flat_and_reference_captures_are_identical(
+        self, monkeypatch, backend, faults
+    ):
+        request = _workload_request(
+            "cholesky",
+            backend,
+            faults=tuple(parse_fault_spec(spec) for spec in faults),
+        )
+        for cycles in (10_000, 30_000, 60_000):
+            snapshots = {}
+            for flag in ("0", "1"):
+                monkeypatch.setenv(REFERENCE_DATAPATH_ENV, flag)
+                session = open_session(request)
+                session.advance(cycles)
+                trs = session._stepper._sim.accel.trs_instances[0]
+                assert hasattr(trs, "_inner") == (flag == "1")
+                snapshots[flag] = capture(session)
+                session.close()
+            flat, reference = snapshots["0"], snapshots["1"]
+            assert flat.kind == KIND_MID_RUN
+            assert reference.state == flat.state, f"{backend} @ {cycles}"
+            assert reference.digest == flat.digest
+
+
+# ----------------------------------------------------------------------
+# golden document digests: the schema itself is pinned
+# ----------------------------------------------------------------------
+def _captured_digest(request, cycles):
+    session = open_session(request)
+    session.advance(cycles)
+    snapshot = capture(session)
+    session.close()
+    assert snapshot.kind == KIND_MID_RUN
+    return snapshot.digest
+
+
+def _widened_fork_digest():
+    """Capture WAY8 at 30k cycles, fork onto WAY16, run 20k, capture again."""
+    way8 = PicosConfig.paper_prototype(DMDesign.WAY8)
+    way16 = PicosConfig.paper_prototype(DMDesign.WAY16)
+    session = open_session(_workload_request("sparselu", "hil-full", config=way8))
+    session.advance(30_000)
+    snapshot = capture(session)
+    session.close()
+    forked = fork(snapshot, way16)
+    forked.advance(20_000)
+    return capture(forked).digest
+
+
+class TestGoldenDocumentDigests:
+    """Pinned digests of mid-run snapshot documents.
+
+    A change to the state schema moves these digests; such a change must
+    bump ``SNAPSHOT_VERSION`` and re-record them.  The CI leg under
+    ``REPRO_REFERENCE_DATAPATH=1`` checks the same digests on the
+    reference datapath.
+    """
+
+    GOLDEN = {
+        "cholesky/hil-full": "6e4a2a06b6b4b6c8adab75a7",
+        "sparselu/hil-hw": "82436c5f3055b85de4c85d9f",
+        "cholesky/nanos": "be717bcda721eb533e4c2f9c",
+        "cholesky/hil-full/faulted": "48d0d5694ab916e9537a24c1",
+        "sparselu/hil-full/widened": "54794042b167f4e6ab603674",
+    }
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN))
+    def test_document_digest_is_pinned(self, case):
+        assert SNAPSHOT_VERSION == 2
+        if case.endswith("/widened"):
+            digest = _widened_fork_digest()
+        else:
+            workload, backend = case.split("/")[:2]
+            faults = (
+                (parse_fault_spec(_FAULT_SPEC),) if case.endswith("/faulted") else ()
+            )
+            digest = _captured_digest(
+                _workload_request(workload, backend, faults=faults), 30_000
+            )
+        assert digest == self.GOLDEN[case]
 
 
 # ----------------------------------------------------------------------
