@@ -40,10 +40,6 @@ COMMAND_FLAGS = {
         "--backend", "--workers", "--until-cycle", "--show-events",
         "--checkpoint-at", "--checkpoint-to", "--fault",
     },
-    "bench": {
-        "--quick", "--gate", "--backend", "--repeats", "--output", "--compare",
-        "--profile", "--fail-threshold", "--fail-on-regression", "--service",
-    },
     "serve": {
         "--host", "--port", "--http-port", "--no-http", "--cache-dir",
         "--max-sessions", "--default-tenant-sessions", "--default-tenant-rate",
@@ -75,12 +71,14 @@ class TestSubcommandFlags:
             ["table3", "--port", "5"],
             ["fig10", "--backend", "hil-hw"],
             ["serve", "--gate"],
-            ["bench", "--workload", "x"],
         ],
         ids=" ".join,
     )
     def test_foreign_flags_are_rejected(self, argv):
         assert _usage_error(argv) == 2
+
+    def test_bench_is_not_a_command(self):
+        assert _usage_error(["bench"]) == 2
 
     def test_simulate_rejects_zero_workers_as_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -91,7 +89,6 @@ class TestSubcommandFlags:
         "argv",
         [
             ["all", "--jobs", "0"],
-            ["bench", "--repeats", "0"],
             ["serve", "--slice-cycles", "0"],
             ["simulate", "--workload", "case1", "--workers", "many"],
         ],
@@ -103,6 +100,27 @@ class TestSubcommandFlags:
     def test_simulate_needs_exactly_one_program_source(self):
         assert _usage_error(["simulate"]) == 2
         assert _usage_error(["simulate", "--workload", "case1", "--restore", "x"]) == 2
+
+    def test_serve_keeps_its_tenant_and_slice_options(self):
+        args = build_parser().parse_args(
+            [
+                "serve", "--port", "0", "--tenant-sessions", "teamA=4",
+                "--tenant-rate", "teamA=2e8", "--slice-cycles", "100000",
+            ]
+        )
+        assert args.experiment == "serve"
+        assert args.tenant_sessions == ["teamA=4"]
+        assert args.tenant_rate == ["teamA=2e8"]
+        assert args.slice_cycles == 100000
+
+    def test_tenant_values_parse_as_name_value_pairs(self):
+        parse = cli._parse_tenant_value
+        assert parse(["a=1", "b=2"], "tenant-sessions", int) == {"a": 1, "b": 2}
+        assert parse(None, "tenant-sessions", int) == {}
+        with pytest.raises(SystemExit):
+            parse(["nope"], "tenant-sessions", int)
+        with pytest.raises(SystemExit):
+            parse(["a=lots"], "tenant-sessions", int)
 
     def test_lint_forwards_paths_and_list_rules(self, capsys):
         from repro.lint.cli import main as lint_main
