@@ -3,7 +3,7 @@
 Every subcommand accepts exactly the flags it reads, so a flag meant for
 another command is a usage error (exit code 2) instead of being ignored.
 Every invocation the CI workflow, the docs and the service launchers use
-must keep parsing.
+must keep parsing, and so must every ``perfbench/run.py`` line they show.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import shlex
 from pathlib import Path
 
 import pytest
+from perfbench import run as perfbench_run
+from perfbench.workloads import BATCH_WORKLOADS
 
 from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
@@ -138,17 +140,19 @@ class TestSubcommandFlags:
 #: A command line: ``picos-experiment`` first, after an optional ``$ `` prompt
 #: or a ``! `` negation (a command that must fail).
 _COMMAND_LINE = re.compile(r"^\s*(?:\$\s+)?(!\s+)?picos-experiment\b(.*)$")
+#: A ``perfbench/run.py`` command line, with the same prompt and negation.
+_PERFBENCH_LINE = re.compile(r"^\s*(?:\$\s+)?(!\s+)?python3? perfbench/run\.py\b(.*)$")
 
 
-def _shell_invocations(text: str):
-    """``(argv, negated)`` of every ``picos-experiment`` command line in a text.
+def _shell_invocations(text: str, command=_COMMAND_LINE):
+    """``(argv, negated)`` of every ``command`` line in a text.
 
     Backslash continuations are joined; a command ends at a comment or a
     shell operator.  Prose that merely names a subcommand is not a command
     line.
     """
     for line in text.replace("\\\n", " ").splitlines():
-        match = _COMMAND_LINE.match(line)
+        match = command.match(line)
         if match is None:
             continue
         lexer = shlex.shlex(match.group(2), posix=True, punctuation_chars=True)
@@ -219,3 +223,51 @@ class TestDocumentedInvocations:
             assert excinfo.value.code == 2
         else:
             assert parser.parse_args(argv).experiment == argv[0]
+
+
+def _documented_benchmark_runs():
+    texts = {
+        "run.py docstring": perfbench_run.__doc__,
+        "README.md": (REPO_ROOT / "README.md").read_text(encoding="utf-8"),
+        "perfbench/README.md": (REPO_ROOT / "perfbench" / "README.md").read_text(encoding="utf-8"),
+    }
+    for source in sorted((REPO_ROOT / "docs").glob("*.md")):
+        texts[source.name] = source.read_text(encoding="utf-8")
+    return [
+        (name, *found)
+        for name, text in texts.items()
+        for found in _shell_invocations(text, _PERFBENCH_LINE)
+    ]
+
+
+BENCHMARK_RUNS = _documented_benchmark_runs()
+
+
+class TestDocumentedBenchmarkRuns:
+    """The ``perfbench/run.py`` lines the docs and CI show must parse."""
+
+    def test_every_benchmark_doc_contributes(self):
+        sources = {source for source, _, _ in BENCHMARK_RUNS}
+        assert {"run.py docstring", "README.md", "perfbench/README.md", "benchmarks.md"} <= sources
+
+    @pytest.mark.parametrize(
+        "source,argv,negated",
+        BENCHMARK_RUNS,
+        ids=[f"{source}: {' '.join(argv)}" for source, argv, _ in BENCHMARK_RUNS],
+    )
+    def test_benchmark_run_parses(self, source, argv, negated):
+        assert not negated
+        assert perfbench_run.parse_args(argv).workload == argv[argv.index("--workload") + 1]
+
+    def test_the_ci_gate_times_batch_workloads_with_parsing_runs(self):
+        text = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        gated = re.search(r"for workload in ([^;]+);", text).group(1).split()
+        assert gated == ["headline-cholesky32", "dm-pressure"]
+        assert set(gated) <= set(BATCH_WORKLOADS)
+        runs = list(_shell_invocations(text, _PERFBENCH_LINE))
+        assert runs
+        for argv, negated in runs:
+            assert not negated
+            for workload in gated:
+                args = perfbench_run.parse_args([a.replace("${workload}", workload) for a in argv])
+                assert (args.workload, args.seconds, args.trace) == (workload, 25.0, 0)
