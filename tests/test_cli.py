@@ -141,7 +141,7 @@ class TestSubcommandFlags:
 #: or a ``! `` negation (a command that must fail).
 _COMMAND_LINE = re.compile(r"^\s*(?:\$\s+)?(!\s+)?picos-experiment\b(.*)$")
 #: A ``perfbench/run.py`` command line, with the same prompt and negation.
-_PERFBENCH_LINE = re.compile(r"^\s*(?:\$\s+)?(!\s+)?python3? perfbench/run\.py\b(.*)$")
+_RUN_PY_LINE = re.compile(r"^\s*(?:\$\s+)?(!\s+)?python3? perfbench/run\.py\b(.*)$")
 
 
 def _shell_invocations(text: str, command=_COMMAND_LINE):
@@ -236,7 +236,7 @@ def _documented_benchmark_runs():
     return [
         (name, *found)
         for name, text in texts.items()
-        for found in _shell_invocations(text, _PERFBENCH_LINE)
+        for found in _shell_invocations(text, _RUN_PY_LINE)
     ]
 
 
@@ -264,7 +264,7 @@ class TestDocumentedBenchmarkRuns:
         gated = re.search(r"for workload in ([^;]+);", text).group(1).split()
         assert gated == ["headline-cholesky32", "dm-pressure"]
         assert set(gated) <= set(BATCH_WORKLOADS)
-        runs = list(_shell_invocations(text, _PERFBENCH_LINE))
+        runs = list(_shell_invocations(text, _RUN_PY_LINE))
         assert runs
         for argv, negated in runs:
             assert not negated
